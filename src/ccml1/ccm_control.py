@@ -66,14 +66,16 @@ def feedback_gain(model: DynamicsModel, field: MetricField,
     """Closed-form min-norm feedback for one geodesic.
 
     The curve must run from the desired state (s=0) to the actual state
-    (s=1).  When the constraint normal degenerates (actual state nearly
-    uncontrollable through the metric), the returned gain is zero and
-    ``infeasible`` is set; callers log it as a certificate violation.
+    (s=1); the endpoint metrics are the ones the solver evaluated (and
+    checked positive definite) for it.  When the constraint normal
+    degenerates (actual state nearly uncontrollable through the metric), the
+    returned gain is zero and ``infeasible`` is set; callers log it as a
+    certificate violation.
     """
     x_des = curve.states[0]
     x = curve.states[-1]
-    m_x = field.metric(x)
-    m_des = field.metric(x_des)
+    m_x = curve.endpoint_metric("end")
+    m_des = curve.endpoint_metric("start")
     v_end = curve.endpoint_velocity("end")
     v_start = curve.endpoint_velocity("start")
     lam = field.contraction_rate

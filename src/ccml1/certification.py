@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleCertificate
 from .geodesic import GeodesicSolver
 from .l1_control import L1Config
-from .metric import MetricField, dual_F
+from .metric import MetricField, sym
 from .models import AssumptionBounds, DesiredTrajectory, DynamicsModel
 
 _SIGMA_FLOOR = 1e-10
@@ -191,17 +191,21 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
         domain_exceeded = not all(field.domain.contains(p) for p in pts)
 
     # --- resolved model bounds ------------------------------------------------
+    drifts = np.array([model.drift(p) for p in pts])
+    jacs = np.array([model.jac_drift(p) for p in pts])
+    inputs = np.array([model.input_matrix(p) for p in pts])
     drift_sup = _resolve(
         bounds.drift_sup,
-        lambda: max(np.linalg.norm(model.drift(p)) for p in pts),
+        # row by row: a batched vector norm sums in another order
+        lambda: max(np.linalg.norm(f) for f in drifts),
         prov, "drift_sup", infl)
     drift_jac_sup = _resolve(
         bounds.drift_jac_sup,
-        lambda: max(np.linalg.norm(model.jac_drift(p), 2) for p in pts),
+        lambda: np.linalg.norm(jacs, 2, axis=(1, 2)).max(),
         prov, "drift_jac_sup", infl)
     input_sup = _resolve(
         bounds.input_sup,
-        lambda: max(np.linalg.norm(model.input_matrix(p), 2) for p in pts),
+        lambda: np.linalg.norm(inputs, 2, axis=(1, 2)).max(),
         prov, "input_sup", infl)
     input_grad_sum = _resolve(
         bounds.input_grad_sup,
@@ -274,7 +278,7 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
         prov["desired_input_sup"] = "closed-form"
 
     # --- metric-coupled constants ----------------------------------------------
-    dm = field.partials_batch(pts)
+    duals, dual_partials, _, dm = field.evaluate_batch(pts)
     metric_grad_sum = float(
         np.linalg.norm(dm, ord=2, axis=(2, 3)).sum(axis=1).max()) * infl
     prov["metric_grad_sum"] = "sampled" if not field.is_constant \
@@ -291,28 +295,30 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
 
     # feedback magnitude per unit distance: worst generalized Rayleigh
     # quotient of the decay residual over the input's reach through the
-    # dual factor
-    worst_ratio = 0.0
-    for p in pts:
-        f_mat = dual_F(model, field, p)
-        w = field.dual(p)
-        try:
-            ell = np.linalg.cholesky(w).T       # ell.T @ ell = dual
-        except np.linalg.LinAlgError:
-            raise InfeasibleCertificate(
-                "dual metric lost positive definiteness on the tube",
-                binding="feedback_per_dist")
-        y = np.linalg.solve(ell.T, f_mat)       # L^-T F
-        g = np.linalg.solve(ell.T, y.T).T       # L^-T F L^-1
-        top = float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1])
-        z = np.linalg.solve(ell.T, model.input_matrix(p))
-        sv = np.linalg.svd(z.T, compute_uv=False)
-        nonzero = sv[sv > max(_SIGMA_FLOOR, 1e-12 * sv.max())]
-        if nonzero.size == 0 or nonzero.min() < _SIGMA_FLOOR:
-            raise InfeasibleCertificate(
-                "input map degenerates through the metric on the tube",
-                binding="feedback_per_dist")
-        worst_ratio = max(worst_ratio, top / float(nonzero.min()))
+    # dual factor.  The dual-form contraction matrix is
+    # F = -(derivative of the dual along the drift) + sym(jac @ dual)
+    #     + 2*rate*dual.
+    d_along_f = np.einsum("ka,kaij->kij", drifts[:, field.active_coords],
+                          dual_partials)
+    f_mats = -d_along_f + sym(jacs @ duals) + 2.0 * lam * duals
+    try:
+        chol = np.linalg.cholesky(duals)        # chol @ chol.T = dual
+    except np.linalg.LinAlgError:
+        raise InfeasibleCertificate(
+            "dual metric lost positive definiteness on the tube",
+            binding="feedback_per_dist") from None
+    y = np.linalg.solve(chol, f_mats)                               # L^-1 F
+    g = np.linalg.solve(chol, y.swapaxes(1, 2)).swapaxes(1, 2)      # L^-1 F L^-T
+    top = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(1, 2)))[:, -1]
+    z = np.linalg.solve(chol, inputs)
+    sv = np.linalg.svd(z.swapaxes(1, 2), compute_uv=False)
+    nonzero = sv > np.maximum(_SIGMA_FLOOR, 1e-12 * sv.max(axis=1))[:, None]
+    if not nonzero.any(axis=1).all():
+        raise InfeasibleCertificate(
+            "input map degenerates through the metric on the tube",
+            binding="feedback_per_dist")
+    worst_ratio = max(0.0, float(np.max(
+        top / np.where(nonzero, sv, np.inf).min(axis=1))))
     feedback_per_dist = max(0.0, 0.5 * worst_ratio) * infl
     prov["feedback_per_dist"] = "sampled"
 
@@ -454,15 +460,25 @@ class TubeCertificate:
         }
 
 
+def initial_energy(field: MetricField, x0, x0_star) -> float:
+    """Riemannian energy of the geodesic from the desired to the actual
+    initial state."""
+    solver = GeodesicSolver(field, enforce_domain=False)
+    return solver.solve(np.asarray(x0_star, dtype=float),
+                        np.asarray(x0, dtype=float)).energy
+
+
 def check_conditions(field: MetricField, d: DeltaConstants, omega: float,
                      gamma: float, eps: float, rho_a: float,
-                     x0, x0_star) -> TubeCertificate:
+                     x0, x0_star, energy0: float | None = None
+                     ) -> TubeCertificate:
     """Evaluate the three certificate inequalities at a candidate tuning.
 
     The returned certificate is marked valid only when all margins are
     strictly positive.  The adaptation margin is reported as -inf when the
     interference condition already fails (the rate condition is then
-    unsatisfiable at this bandwidth).
+    unsatisfiable at this bandwidth).  ``energy0`` is
+    :func:`initial_energy` of the same states, solved here when not given.
     """
     if eps <= 0.0 or rho_a <= 0.0:
         raise ValueError("tube slack parameters must be positive")
@@ -472,8 +488,8 @@ def check_conditions(field: MetricField, d: DeltaConstants, omega: float,
     rho_r = math.sqrt(d.alpha_hi / d.alpha_lo) * gap + eps
     rho = rho_r + rho_a
 
-    solver = GeodesicSolver(field, enforce_domain=False)
-    energy0 = solver.solve(x0_star, x0).energy
+    if energy0 is None:
+        energy0 = initial_energy(field, x0, x0_star)
 
     z1, z2, z3 = zeta(omega, d)
     margin_energy = rho_r ** 2 - energy0 / d.alpha_lo - z1
@@ -520,13 +536,15 @@ def search_params(field: MetricField, d: DeltaConstants, eps: float,
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise ValueError("bandwidth range must be finite and increasing")
     grid = np.geomspace(lo, hi, n_grid)
+    energy0 = initial_energy(field, x0, x0_star)
     best_binding = "energy"
     best_shortfall = math.inf
     for omega in grid:
         if abs(2.0 * d.rate - omega) < 1e-6:
             continue
         cert = check_conditions(field, d, omega, gamma=1.0, eps=eps,
-                                rho_a=rho_a, x0=x0, x0_star=x0_star)
+                                rho_a=rho_a, x0=x0, x0_star=x0_star,
+                                energy0=energy0)
         need_energy = (cert.energy0 / d.alpha_lo + cert.zeta1) * (1.0 + margin)
         need_band = (cert.zeta2 + cert.zeta3) * (1.0 + margin)
         ok_energy = cert.rho_r ** 2 >= need_energy
@@ -536,7 +554,7 @@ def search_params(field: MetricField, d: DeltaConstants, eps: float,
                      * cert.drive_bound
                      / (rho_a * cert.margin_bandwidth)) ** 2
             final = check_conditions(field, d, float(omega), gamma, eps,
-                                     rho_a, x0, x0_star)
+                                     rho_a, x0, x0_star, energy0=energy0)
             return SearchResult(feasible=True, omega=float(omega),
                                 gamma=float(gamma), certificate=final)
         shortfall = 0.0

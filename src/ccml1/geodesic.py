@@ -26,6 +26,10 @@ from .errors import GeodesicDomainError
 from .metric import MetricField
 
 _DEGENERATE = 1e-12
+# Pinned endpoint rows whose dual is checked once per solve; the end (the
+# actual state) first, so a failure names it when both are bad.
+_ENDPOINTS = (-1, 0)
+_END_ROW = {"start": 0, "end": -1}
 
 
 def gll_grid(n_intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,6 +62,7 @@ class GeodesicCurve:
     s_nodes: np.ndarray          # parameter grid in [0, 1]
     states: np.ndarray           # (N+1, n) nodal states, endpoints pinned
     velocities: np.ndarray       # (N+1, n) d(state)/ds at the nodes
+    metrics: np.ndarray          # (N+1, n, n) metric at the nodal states
     energy: float
     iterations: int
     grad_norm: float
@@ -68,21 +73,18 @@ class GeodesicCurve:
     def endpoint_velocity(self, end: str) -> np.ndarray:
         """Velocity at 'start' (s=0) or 'end' (s=1) from the nodal polynomial
         derivative (a one-sided full-order stencil over the nodal grid)."""
-        if end == "start":
-            return self.velocities[0]
-        if end == "end":
-            return self.velocities[-1]
-        raise ValueError("end must be 'start' or 'end'")
+        return self.velocities[_end_row(end)]
 
-    def nodal_speeds(self, field: MetricField) -> np.ndarray:
-        m = field.metric_batch(self.states)
-        return np.sqrt(np.einsum("ij,ijk,ik->i", self.velocities, m,
-                                 self.velocities))
+    def endpoint_metric(self, end: str) -> np.ndarray:
+        """Metric at 'start' (s=0) or 'end' (s=1), as the solver evaluated it."""
+        return self.metrics[_end_row(end)]
 
 
-def energy(curve: GeodesicCurve) -> float:
-    """Stored discrete Riemannian energy of the curve."""
-    return curve.energy
+def _end_row(end: str) -> int:
+    try:
+        return _END_ROW[end]
+    except KeyError:
+        raise ValueError("end must be 'start' or 'end'") from None
 
 
 class GeodesicSolver:
@@ -101,20 +103,25 @@ class GeodesicSolver:
         self._d_int = self.diff[:, 1:-1]
         self._wd = self.weights[:, None] * self.diff        # w_i * D[i, k]
         self._wd_int = self.weights[:, None] * self._d_int
-        self._constant_metric = field.dual_poly.is_constant
+        self._constant_metric = field.is_constant
+        self._const_nodes = (    # nodal metrics shared by every solve
+            np.broadcast_to(field.constant_metric,
+                            (self.n_intervals + 1,) + field.constant_metric.shape)
+            if self._constant_metric else None)
         nin = self._d_int.shape[1]
         self._diag = np.diag_indices(nin * field.dim)
 
     # -- internals -----------------------------------------------------------
 
-    def _eval(self, states: np.ndarray):
+    def _eval(self, states: np.ndarray, check_pd=False):
         """Energy, interior gradient, and pieces for the Gauss-Newton step.
 
-        Positive-definiteness of the dual is not re-checked here: the
-        endpoints are domain-checked in solve() and the line search rejects
-        any trial whose energy goes non-finite (NaN compares false).
+        ``check_pd`` is passed to the metric evaluation.  solve() checks the
+        pinned endpoints on its first evaluation only; interior nodes are not
+        checked, because the line search rejects any trial whose energy goes
+        non-finite (NaN compares false).
         """
-        m, dm = self.field.metric_and_partials_batch(states, check_pd=False)
+        m, dm = self.field.metric_and_partials_batch(states, check_pd=check_pd)
         v = self.diff @ states
         mv = (m @ v[:, :, None])[:, :, 0]
         e = float(self.weights @ (v * mv).sum(axis=1))
@@ -154,8 +161,10 @@ class GeodesicSolver:
         if gap < _DEGENERATE:
             states = np.tile(p, (n_nodes, 1))
             states[-1] = q
+            m = (self._const_nodes if self._constant_metric
+                 else self.field.metric_batch(states))
             return GeodesicCurve(self.s_nodes.copy(), states,
-                                 np.zeros_like(states), 0.0, 0, 0.0,
+                                 np.zeros_like(states), m, 0.0, 0, 0.0,
                                  converged=True)
 
         if self._constant_metric and self.allow_shortcuts:
@@ -166,9 +175,9 @@ class GeodesicSolver:
             states[0], states[-1] = p, q
             v = self.diff @ states
             d = q - p
-            e = float(d @ self.field.metric(0.5 * (p + q)) @ d)
-            curve = GeodesicCurve(self.s_nodes.copy(), states, v, e, 0, 0.0,
-                                  converged=True)
+            e = float(d @ self.field.constant_metric @ d)
+            curve = GeodesicCurve(self.s_nodes.copy(), states, v,
+                                  self._const_nodes, e, 0, 0.0, converged=True)
             curve.exceeds_upper_bound = bool(
                 e > self.field.eig_ceil * gap * gap * 1.01)
             return curve
@@ -181,7 +190,7 @@ class GeodesicSolver:
             states = p + self.s_nodes[:, None] * (q - p)
         states[0], states[-1] = p, q
 
-        e, grad, m, v = self._eval(states)
+        e, grad, m, v = self._eval(states, check_pd=_ENDPOINTS)
         gnorm = float(np.linalg.norm(grad))
         iters = 0
         while gnorm > self.tol * (1.0 + e) and iters < self.max_iter:
@@ -210,7 +219,7 @@ class GeodesicSolver:
 
         converged = gnorm <= self.tol * (1.0 + e)
         curve = GeodesicCurve(
-            self.s_nodes.copy(), states, v, e, iters, gnorm,
+            self.s_nodes.copy(), states, v, m, e, iters, gnorm,
             converged=converged, degraded=not converged)
         curve.exceeds_upper_bound = bool(
             e > self.field.eig_ceil * gap * gap * 1.01)

@@ -7,14 +7,16 @@ uniform eigenvalue bounds over a validated domain.
 
 Metrics are specified through the *dual* matrix as polynomial-coefficient
 tables (the form in which such certificates are usually synthesized and
-published); the metric itself is obtained by pointwise inversion, and its
-partials through d(inv) = -inv * d(dual) * inv.
+published).  The dual and its closed-form partials along the coordinates it
+depends on are stacked into one coefficient table, so a batch of states costs
+one polynomial evaluation; the metric is then obtained by one batched
+inversion, and its partials through d(inv) = -inv * d(dual) * inv.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +31,11 @@ def sym(a: np.ndarray) -> np.ndarray:
 class PolyMatrix:
     """Matrix-valued polynomial stored as {monomial powers -> coefficient matrix}.
 
-    Evaluation is vectorized over batches of states: for each distinct
-    monomial the scalar value is computed once and scales one coefficient
-    matrix, so evaluation cost is O(#monomials) numpy ops regardless of
-    matrix size.
+    Evaluation is vectorized over batches of states: one pass computes every
+    monomial at every state, and one matmul of those values with the flattened
+    coefficient table gives all entries.  A tall matrix stacking several
+    polynomials (a dual metric and its partials) therefore evaluates in the
+    same two numpy calls as a single one.
     """
 
     def __init__(self, dim_in: int, shape: tuple[int, int],
@@ -57,11 +60,8 @@ class PolyMatrix:
         # stacked form for vectorized evaluation
         self._powers = np.array([p for p, _ in self.terms], dtype=float)
         self._coeffs = np.stack([c for _, c in self.terms])
-
-    @property
-    def is_constant(self) -> bool:
-        zero = (0,) * self.dim_in
-        return all(p == zero for p, _ in self.terms)
+        self._flat_coeffs = self._coeffs.reshape(len(self.terms), -1)
+        self.is_constant = not np.any(self._powers)
 
     @property
     def is_zero(self) -> bool:
@@ -81,7 +81,7 @@ class PolyMatrix:
             return np.broadcast_to(self._coeffs.sum(axis=0),
                                    (xs.shape[0],) + self.shape).copy()
         scales = np.prod(xs[:, None, :] ** self._powers[None, :, :], axis=2)
-        return np.tensordot(scales, self._coeffs, axes=(1, 0))
+        return (scales @ self._flat_coeffs).reshape((xs.shape[0],) + self.shape)
 
     def partial(self, coord: int) -> "PolyMatrix":
         """Closed-form partial derivative with respect to one coordinate."""
@@ -134,6 +134,12 @@ class MetricField:
     ``eig_floor``/``eig_ceil`` bound the metric's eigenvalues over ``domain``;
     they are re-validated by sampling at construction because every downstream
     tube radius leans on them.
+
+    The dual and its closed-form partials along ``active_coords`` (the
+    coordinates the dual depends on) are stacked into one fused
+    :class:`PolyMatrix`, so :meth:`evaluate_batch` gets all of them at a batch
+    of states from one polynomial evaluation, then the metric and its partials
+    from one batched inverse.
     """
 
     dim: int
@@ -142,20 +148,25 @@ class MetricField:
     eig_ceil: float
     dual_poly: PolyMatrix
     domain: "object" = None  # SafeSet-like (needs .sample/.contains) or None
-    _dual_partials: list[PolyMatrix] = dc_field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._dual_partials is None:
-            self._dual_partials = [self.dual_poly.partial(i) for i in range(self.dim)]
-        # coordinates the dual actually depends on; the rest have zero partials
-        self._active_coords = [i for i, p in enumerate(self._dual_partials)
-                               if not p.is_zero]
-        self._const_metric = (np.linalg.inv(self.dual_poly.sum_coeffs())
-                              if self.dual_poly.is_constant else None)
+        n = self.dim
+        partials = [self.dual_poly.partial(i) for i in range(n)]
+        self.active_coords = [i for i, p in enumerate(partials) if not p.is_zero]
+        blocks = [self.dual_poly] + [partials[i] for i in self.active_coords]
+        terms = []
+        for b, poly in enumerate(blocks):
+            for powers, coeff in poly.terms:
+                stacked = np.zeros((len(blocks) * n, n))
+                stacked[b * n:(b + 1) * n] = coeff
+                terms.append((powers, stacked))
+        self._fused = PolyMatrix(n, (len(blocks) * n, n), terms)
+        self.constant_metric = (np.linalg.inv(self.dual_poly.sum_coeffs())
+                                if self.dual_poly.is_constant else None)
 
     @property
     def is_constant(self) -> bool:
-        return self._const_metric is not None
+        return self.constant_metric is not None
 
     # -- constructors -------------------------------------------------------
 
@@ -199,50 +210,52 @@ class MetricField:
     def metric(self, x) -> np.ndarray:
         return self.metric_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def metric_batch(self, xs: np.ndarray, check_pd: bool = True) -> np.ndarray:
-        if self._const_metric is not None:
-            return np.broadcast_to(self._const_metric,
-                                   (xs.shape[0],) + self._const_metric.shape).copy()
+    def metric_batch(self, xs: np.ndarray) -> np.ndarray:
+        """(k, n, n) metric at a batch of states; the dual must be positive
+        definite at each of them."""
+        if self.constant_metric is not None:
+            return np.broadcast_to(self.constant_metric,
+                                   (xs.shape[0],) + self.constant_metric.shape).copy()
         duals = self.dual_poly.eval_batch(xs)
-        if check_pd:
-            try:
-                np.linalg.cholesky(duals)
-            except np.linalg.LinAlgError:
-                bad = _first_non_pd(duals, xs)
-                raise MetricDomainError("dual metric not positive definite", x=bad)
+        _require_pd(duals, xs)
         return _inv_batch(duals)
-
-    def dual_partials(self, x) -> np.ndarray:
-        """Stack of closed-form partials of the dual, shape (dim, n, n)."""
-        return np.stack([p(x) for p in self._dual_partials])
 
     def partials(self, x) -> np.ndarray:
         """Partials of the metric via d(inv) = -inv d(dual) inv, shape (dim, n, n)."""
-        return self.partials_batch(np.asarray(x, dtype=float)[None, :])[0]
+        return self.metric_and_partials_batch(np.asarray(x, dtype=float)[None, :])[1][0]
 
-    def partials_batch(self, xs: np.ndarray) -> np.ndarray:
-        """(k, dim, n, n) metric partials for a batch of states."""
-        return self.metric_and_partials_batch(xs)[1]
+    def metric_and_partials_batch(self, xs: np.ndarray, check_pd=True):
+        """(k, n, n) metric and (k, dim, n, n) metric partials; ``check_pd``
+        as in :meth:`evaluate_batch`."""
+        return self.evaluate_batch(xs, check_pd=check_pd)[2:]
 
-    def metric_and_partials_batch(self, xs: np.ndarray, check_pd: bool = True):
-        m = self.metric_batch(xs, check_pd=check_pd)
-        dm = np.zeros((xs.shape[0], self.dim) + self.dual_poly.shape)
-        for i in self._active_coords:
-            dm[:, i] = -m @ self._dual_partials[i].eval_batch(xs) @ m
-        return m, dm
+    def evaluate_batch(self, xs: np.ndarray, check_pd=True):
+        """Dual, dual partials, metric and metric partials at a batch of states.
 
-    def factorize(self, x):
-        """Upper-triangular factors (theta, ell) with theta.T@theta = metric,
-        ell.T@ell = dual."""
-        m = self.metric(x)
-        w = self.dual(x)
-        try:
-            theta = np.linalg.cholesky(m).T
-            ell = np.linalg.cholesky(w).T
-        except np.linalg.LinAlgError:
-            raise MetricDomainError("factorization failed: not positive definite",
-                                    x=np.asarray(x, dtype=float))
-        return theta, ell
+        Returns arrays of shape (k, n, n), (k, len(active_coords), n, n),
+        (k, n, n) and (k, dim, n, n); the dual partials cover only
+        ``active_coords`` (the others are zero).  ``check_pd`` is True to
+        require a positive-definite dual at every state, False for none, or a
+        sequence of row indices to check only those states; the first failing
+        one, in that order, is reported in the MetricDomainError.  A constant
+        metric is never re-checked.
+        """
+        k, n = xs.shape[0], self.dim
+        if self.constant_metric is not None:
+            return (self.dual_poly.eval_batch(xs), np.zeros((k, 0, n, n)),
+                    np.broadcast_to(self.constant_metric, (k, n, n)).copy(),
+                    np.zeros((k, n, n, n)))
+        stack = self._fused.eval_batch(xs).reshape(k, -1, n, n)
+        duals, dual_partials = stack[:, 0], stack[:, 1:]
+        if check_pd is True:
+            _require_pd(duals, xs)
+        elif check_pd is not False:
+            rows = list(check_pd)
+            _require_pd(duals[rows], xs[rows])
+        m = _inv_batch(duals)
+        dm = np.zeros((k, n, n, n))
+        dm[:, self.active_coords] = -m[:, None] @ dual_partials @ m[:, None]
+        return duals, dual_partials, m, dm
 
     # -- validation ---------------------------------------------------------
 
@@ -270,18 +283,30 @@ class MetricField:
         return self.eig_ceil / self.eig_floor
 
 
-def _first_non_pd(duals: np.ndarray, xs: np.ndarray):
-    for w, x in zip(duals, xs):
-        try:
-            np.linalg.cholesky(w)
-        except np.linalg.LinAlgError:
-            return np.array(x)
-    return None
+def _require_pd(duals: np.ndarray, xs: np.ndarray) -> None:
+    """Raise MetricDomainError at the first state whose dual is not
+    positive definite."""
+    try:
+        np.linalg.cholesky(duals)
+    except np.linalg.LinAlgError:
+        for w, x in zip(duals, xs):
+            try:
+                np.linalg.cholesky(w)
+            except np.linalg.LinAlgError:
+                raise MetricDomainError("dual metric not positive definite",
+                                        x=np.array(x)) from None
+        raise MetricDomainError("dual metric not positive definite") from None
+
+
+# cyclic successors of 0, 1, 2: the 3x3 cofactor of entry (i, j) is
+# a[i+1, j+1] * a[i+2, j+2] - a[i+1, j+2] * a[i+2, j+1], indices mod 3
+_NEXT1 = np.array([1, 2, 0])
+_NEXT2 = np.array([2, 0, 1])
 
 
 def _inv_batch(mats: np.ndarray) -> np.ndarray:
     """Batched inverse; closed-form adjugate for the 2x2/3x3 sizes that
-    dominate here (avoids LAPACK per-call overhead on tiny matrices)."""
+    dominate here."""
     n = mats.shape[-1]
     if n == 2:
         a, b = mats[..., 0, 0], mats[..., 0, 1]
@@ -295,35 +320,15 @@ def _inv_batch(mats: np.ndarray) -> np.ndarray:
         return out / det[..., None, None]
     if n == 3:
         a = mats
-        out = np.empty_like(a)
-        out[..., 0, 0] = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
-        out[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
-        out[..., 0, 2] = a[..., 0, 1] * a[..., 1, 2] - a[..., 0, 2] * a[..., 1, 1]
-        out[..., 1, 0] = a[..., 1, 2] * a[..., 2, 0] - a[..., 1, 0] * a[..., 2, 2]
-        out[..., 1, 1] = a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
-        out[..., 1, 2] = a[..., 0, 2] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 2]
-        out[..., 2, 0] = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
-        out[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
-        out[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        det = (a[..., 0, 0] * out[..., 0, 0] + a[..., 0, 1] * out[..., 1, 0]
-               + a[..., 0, 2] * out[..., 2, 0])
-        return out / det[..., None, None]
+        r1, r2 = a[..., _NEXT1, :], a[..., _NEXT2, :]
+        adj = (r1[..., _NEXT1] * r2[..., _NEXT2]
+               - r1[..., _NEXT2] * r2[..., _NEXT1]).swapaxes(-1, -2)
+        det = (a[..., 0, 0] * adj[..., 0, 0] + a[..., 0, 1] * adj[..., 1, 0]
+               + a[..., 0, 2] * adj[..., 2, 0])
+        # C order: later products and reductions must not see a transposed
+        # layout, which changes their summation order
+        return np.divide(adj, det[..., None, None], order="C")
     return np.linalg.inv(mats)
-
-
-def eval_metric(field: MetricField, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (metric, dual, metric partials) at one state.
-
-    The returned dual is the closed-form polynomial value; the metric is its
-    inverse, so their product is the identity to floating-point accuracy.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise MetricDomainError("non-finite query state", x=x)
-    w = field.dual(x)
-    m = field.metric(x)
-    dm = field.partials(x)
-    return m, w, dm
 
 
 @dataclass
@@ -432,18 +437,3 @@ def ccm_check(model, field: MetricField, region=None, n_samples: int = 10_000,
         killing_margin=float(killing_margin),
         n_samples=len(pts), violations=violations,
         tol_eig=slack_eig, tol_contraction=slack, tol_killing=slack)
-
-
-def dual_F(model, field: MetricField, x) -> np.ndarray:
-    """Dual-form contraction matrix used by the feedback-magnitude constant.
-
-    F = -(directional derivative of dual along drift) + jac@dual + dual@jac^T
-        + 2*rate*dual; symmetric by construction.
-    """
-    x = np.asarray(x, dtype=float)
-    w = field.dual(x)
-    dw = field.dual_partials(x)
-    fx = model.drift(x)
-    jac = model.jac_drift(x)
-    d_along_f = np.tensordot(fx, dw, axes=(0, 0))
-    return -d_along_f + sym(jac @ w) + 2.0 * field.contraction_rate * w

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericFault
+from .errors import DimensionMismatch
 from .metric import MetricField, PolyMatrix
 
 
@@ -92,27 +92,6 @@ class DynamicsModel:
             dgram = db.T @ b + b.T @ db
             out[i] = -gram_inv @ dgram @ gram_inv @ b.T + gram_inv @ db.T
         return out
-
-    def check_input_rank(self, x: np.ndarray, tol: float = 1e-10) -> None:
-        sv = np.linalg.svd(self.input_matrix(x), compute_uv=False)
-        if sv.size < self.input_dim or sv[-1] <= tol:
-            raise NumericFault(f"input matrix loses column rank at x={x}")
-
-
-def eval_dynamics(model: DynamicsModel, t: float, x, u) -> np.ndarray:
-    """Full uncertain rate f + B(u + h); nominal rate when no uncertainty is set."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (model.state_dim,) or u.shape != (model.input_dim,):
-        raise DimensionMismatch(
-            f"expected shapes ({model.state_dim},)/({model.input_dim},), "
-            f"got {x.shape}/{u.shape}")
-    if model.uncertainty is not None:
-        u = u + model.uncertainty(t, x)
-    rate = model.drift(x) + model.input_matrix(x) @ u
-    if not np.all(np.isfinite(rate)):
-        raise NumericFault(f"non-finite dynamics value at t={t}, x={x}")
-    return rate
 
 
 @dataclass

@@ -128,3 +128,64 @@ def test_tracking_a_moving_target(ex2, ex2_plan_fine):
         x = rk4_step(lambda tt, y: model.nominal_rate(y, u), t, x, dt)
     lam = field.contraction_rate
     assert energies[-1] <= np.exp(-2.0 * lam * 300 * dt) * energies[0] * 1.01
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_gain_matches_recomputed_endpoint_metrics(name, ex1, ex2):
+    # the gain reuses the metrics the solver evaluated at the endpoints; a
+    # fresh evaluation there must give the same half-space and gain
+    sysb = {"ex1": ex1, "ex2": ex2}[name]
+    scale = 0.04 if name == "ex1" else 2.0
+    solver = GeodesicSolver(sysb.metric)
+    rng = np.random.default_rng(17)
+    x_des = rng.uniform(-scale, scale, size=sysb.model.state_dim)
+    warm = None
+    for k in range(20):
+        x = x_des if k == 0 else rng.uniform(-scale, scale,
+                                             size=sysb.model.state_dim)
+        u_des = rng.uniform(-0.5, 0.5, size=1)
+        curve = solver.solve(x_des, x, warm=warm)
+        warm = curve
+        res = feedback_gain(sysb.model, sysb.metric, curve, u_des)
+        a, b = _constraint_terms(sysb, curve, u_des)
+        expected = np.zeros(1) if b >= 0.0 else (b / float(a @ a)) * a
+        assert res.constraint_slack == pytest.approx(b, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(res.gain, expected, rtol=1e-12)
+
+
+def test_feedback_makes_no_metric_evaluations(ex1, monkeypatch):
+    from ccml1 import sim
+    from ccml1.l1_control import L1Config
+
+    counts = {"inside": False, "feedback": 0, "in_feedback": 0, "total": 0}
+
+    def counting(method):
+        def wrapped(self, *args, **kwargs):
+            counts["total"] += 1
+            counts["in_feedback"] += counts["inside"]
+            return method(self, *args, **kwargs)
+        return wrapped
+
+    for name in ("metric_batch", "metric_and_partials_batch"):
+        monkeypatch.setattr(MetricField, name,
+                            counting(getattr(MetricField, name)))
+
+    def feedback(*args, **kwargs):
+        counts["feedback"] += 1
+        counts["inside"] = True
+        try:
+            return feedback_gain(*args, **kwargs)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(sim, "feedback_gain", feedback)
+    traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                           t_final=0.01, dt=1e-3)
+    l1 = L1Config(state_dim=3, input_dim=1, bandwidth=50.0,
+                  adaptation_gain=1e6, unc_bound=0.1)
+    sim.integrate_closed_loop(ex1.model, ex1.metric, l1, traj_star,
+                              np.array([0.02, -0.01, 0.015]),
+                              sim.SimConfig(dt=1e-4, t_final=5e-3))
+    assert counts["feedback"] == 51
+    assert counts["total"] > 0
+    assert counts["in_feedback"] == 0

@@ -220,3 +220,78 @@ class TestSearch:
             search_params(ex2.metric, ex2_deltas, 0.4, 0.1,
                           np.zeros(2), np.zeros(2),
                           omega_range=(5.0, 2.0))
+
+
+def _per_point_metric_constants(model, field, rho, traj, sampling):
+    """Per-point reference for the sampled constants estimate_deltas batches:
+    drift, drift-Jacobian and input suprema, metric_grad_sum and
+    feedback_per_dist."""
+    _, pts = _tube_points(traj, rho, sampling)
+    infl, n = sampling.inflation, field.dim
+    partials = [field.dual_poly.partial(i) for i in range(n)]
+    grad_sum = worst_ratio = 0.0
+    for p in pts:
+        w = field.dual(p)
+        dw = np.stack([d(p) for d in partials])
+        m = np.linalg.inv(w)
+        grad_sum = max(grad_sum, sum(np.linalg.norm(-m @ dw[i] @ m, 2)
+                                     for i in range(n)))
+        jac = model.jac_drift(p)
+        f_mat = (-np.tensordot(model.drift(p), dw, axes=(0, 0))
+                 + jac @ w + (jac @ w).T + 2.0 * field.contraction_rate * w)
+        ell = np.linalg.cholesky(w).T
+        y = np.linalg.solve(ell.T, f_mat)
+        g = np.linalg.solve(ell.T, y.T).T
+        top = float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1])
+        z = np.linalg.solve(ell.T, model.input_matrix(p))
+        sv = np.linalg.svd(z.T, compute_uv=False)
+        nonzero = sv[sv > max(1e-10, 1e-12 * sv.max())]
+        worst_ratio = max(worst_ratio, top / float(nonzero.min()))
+    return {
+        "drift_sup": infl * max(np.linalg.norm(model.drift(p)) for p in pts),
+        "drift_jac_sup": infl * max(np.linalg.norm(model.jac_drift(p), 2)
+                                    for p in pts),
+        "input_sup": infl * max(np.linalg.norm(model.input_matrix(p), 2)
+                                for p in pts),
+        "metric_grad_sum": 0.0 if field.is_constant else grad_sum * infl,
+        "feedback_per_dist": max(0.0, 0.5 * worst_ratio) * infl,
+    }
+
+
+@pytest.mark.parametrize("which", ["ex1", "ex2"])
+def test_batched_deltas_match_per_point_loop(which, ex1, ex2, ex2_plan):
+    sysb = {"ex1": ex1, "ex2": ex2}[which]
+    if which == "ex1":
+        traj, rho = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                               t_final=10.0, dt=0.01), 0.0514
+    else:
+        traj, rho = ex2_plan, 0.5
+    sampling = TubeSampling(seed=4)
+    bounds = dataclasses.replace(sysb.bounds, drift_sup=None,
+                                 drift_jac_sup=None, input_sup=None)
+    got = estimate_deltas(sysb.model, sysb.metric, bounds, rho, traj,
+                          sampling=sampling).as_dict()["constants"]
+    ref = _per_point_metric_constants(sysb.model, sysb.metric, rho, traj,
+                                      sampling)
+    for name, val in ref.items():
+        assert got[name] == pytest.approx(val, rel=1e-12, abs=0.0), name
+
+
+def test_search_solves_the_initial_energy_once(ex1, ex1_deltas,
+                                               monkeypatch):
+    from ccml1.geodesic import GeodesicSolver
+
+    d, _ = ex1_deltas
+    x0, x0_star = np.array([0.01, -0.005, 0.0]), np.zeros(3)
+    solves = []
+    solve = GeodesicSolver.solve
+    monkeypatch.setattr(GeodesicSolver, "solve",
+                        lambda self, *a, **kw: solves.append(1)
+                        or solve(self, *a, **kw))
+    res = search_params(ex1.metric, d, 0.01, 0.02, x0, x0_star)
+    assert res.feasible
+    assert len(solves) == 1
+    # the margins are the ones check_conditions computes on its own
+    alone = check_conditions(ex1.metric, d, res.omega, res.gamma, 0.01, 0.02,
+                             x0, x0_star)
+    assert alone.as_dict() == res.certificate.as_dict()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ccml1.errors import GeodesicDomainError
+from ccml1.errors import GeodesicDomainError, MetricDomainError
 from ccml1.geodesic import GeodesicSolver, solve_geodesic
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import SafeSet
@@ -172,3 +172,42 @@ def test_endpoint_velocities_match_difference_for_flat_metric():
                                atol=1e-10)
     np.testing.assert_allclose(curve.endpoint_velocity("end"), q - p,
                                atol=1e-10)
+
+
+class TestEndpointDefiniteness:
+    @staticmethod
+    def _field():
+        # dual 1 - x^2 is positive definite only for |x| < 1
+        poly = PolyMatrix(dim_in=1, shape=(1, 1), terms=[
+            ((0,), np.array([[1.0]])), ((2,), np.array([[-1.0]]))])
+        return MetricField.from_dual_polynomial(
+            poly, contraction_rate=1.0, eig_floor=0.5, eig_ceil=2.0,
+            domain=SafeSet.box(np.zeros(1), 0.5), validate=False)
+
+    @pytest.mark.parametrize("p, q, bad", [
+        (0.0, 1.5, 1.5),      # actual state outside the definite region
+        (1.5, 0.0, 1.5),      # desired state outside it
+        (-1.2, 1.5, 1.5),     # both: the actual state is named
+        (1.5, 1.5, 1.5),      # degenerate gap
+    ])
+    def test_non_pd_endpoint_raises_without_domain_enforcement(self, p, q,
+                                                                bad):
+        solver = GeodesicSolver(self._field(), enforce_domain=False)
+        with pytest.raises(MetricDomainError) as err:
+            solver.solve(np.array([p]), np.array([q]))
+        np.testing.assert_array_equal(err.value.x, [bad])
+
+    def test_curve_carries_endpoint_metrics(self, ex1, ex2):
+        for field, p, q in ((ex1.metric, np.array([0.01, -0.02, 0.03]),
+                             np.zeros(3)),
+                            (ex2.metric, np.array([1.0, -2.0]),
+                             np.zeros(2)),
+                            (self._field(), np.array([0.4]),
+                             np.array([-0.3]))):
+            curve = GeodesicSolver(field).solve(p, q)
+            np.testing.assert_allclose(curve.endpoint_metric("start"),
+                                       field.metric(p), rtol=1e-14)
+            np.testing.assert_allclose(curve.endpoint_metric("end"),
+                                       field.metric(q), rtol=1e-14)
+        with pytest.raises(ValueError):
+            curve.endpoint_metric("middle")

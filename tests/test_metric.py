@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ccml1.errors import MetricValidationError
+from ccml1.errors import MetricDomainError, MetricValidationError
 from ccml1.metric import (MetricField, PolyMatrix, _inv_batch, ccm_check,
                           sym)
 from ccml1.models import SafeSet, builtin_example
@@ -164,3 +164,62 @@ class TestCcmCheck:
         d = rep.as_dict()
         assert set(d) >= {"passed", "eig_margin", "contraction_margin",
                           "killing_margin", "n_samples"}
+
+
+def _poly_at(poly, x):
+    """Per-point reference: sum of coefficient * monomial, term by term."""
+    return sum(c * np.prod(x ** np.array(p, dtype=float)) for p, c in poly.terms)
+
+
+def _two_coordinate_field():
+    """3-state dual depending on x0 and x2 but not on x1."""
+    c0 = np.array([[2.0, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 1.8]])
+    c1 = np.array([[0.2, 0.1, 0.0], [0.1, 0.0, 0.05], [0.0, 0.05, 0.1]])
+    c2 = np.array([[0.0, 0.0, 0.1], [0.0, 0.3, 0.0], [0.1, 0.0, -0.2]])
+    c3 = np.array([[0.1, 0.0, 0.0], [0.0, -0.1, 0.02], [0.0, 0.02, 0.0]])
+    poly = PolyMatrix(dim_in=3, shape=(3, 3), terms=[
+        ((0, 0, 0), c0), ((1, 0, 0), c1), ((0, 0, 1), c2),
+        ((1, 0, 1), c3), ((2, 0, 0), 0.5 * c1)])
+    return MetricField.from_dual_polynomial(
+        poly, contraction_rate=1.0, eig_floor=0.1, eig_ceil=10.0,
+        validate=False)
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("which", ["ex1", "ex2", "two_coords"])
+    def test_matches_per_partial_reference(self, which, ex1, ex2):
+        field = {"ex1": ex1.metric, "ex2": ex2.metric,
+                 "two_coords": _two_coordinate_field()}[which]
+        n = field.dim
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(-0.5, 0.5, size=(25, n))
+        m, dm = field.metric_and_partials_batch(xs)
+        partials = [field.dual_poly.partial(i) for i in range(n)]
+        for x, m_k, dm_k in zip(xs, m, dm):
+            m_ref = np.linalg.inv(_poly_at(field.dual_poly, x))
+            scale = np.abs(m_ref).max()
+            np.testing.assert_allclose(m_k, m_ref, rtol=0, atol=1e-14 * scale)
+            for i in range(n):
+                dm_ref = -m_ref @ _poly_at(partials[i], x) @ m_ref
+                np.testing.assert_allclose(dm_k[i], dm_ref, rtol=0,
+                                           atol=1e-14 * scale)
+
+    def test_active_coordinates(self, ex1, ex2):
+        assert _two_coordinate_field().active_coords == [0, 2]
+        assert ex1.metric.active_coords == [0]
+        assert ex2.metric.active_coords == []
+
+    def test_selected_rows_are_checked_in_order(self):
+        # dual 1 - x^2 is positive definite only for |x| < 1
+        poly = PolyMatrix(dim_in=1, shape=(1, 1), terms=[
+            ((0,), np.array([[1.0]])), ((2,), np.array([[-1.0]]))])
+        field = MetricField.from_dual_polynomial(
+            poly, contraction_rate=1.0, eig_floor=0.5, eig_ceil=2.0,
+            validate=False)
+        xs = np.array([[-1.5], [0.0], [2.0]])
+        field.metric_and_partials_batch(xs, check_pd=False)
+        field.metric_and_partials_batch(xs, check_pd=[1])
+        for rows, bad in (([2, 0], 2.0), ([0, 2], -1.5), (True, -1.5)):
+            with pytest.raises(MetricDomainError) as err:
+                field.metric_and_partials_batch(xs, check_pd=rows)
+            np.testing.assert_array_equal(err.value.x, [bad])
