@@ -191,9 +191,7 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
         domain_exceeded = not all(field.domain.contains(p) for p in pts)
 
     # --- resolved model bounds ------------------------------------------------
-    drifts = np.array([model.drift(p) for p in pts])
-    jacs = np.array([model.jac_drift(p) for p in pts])
-    inputs = np.array([model.input_matrix(p) for p in pts])
+    drifts, jacs, inputs, d_inputs = model.eval_batch(pts)
     drift_sup = _resolve(
         bounds.drift_sup,
         # row by row: a batched vector norm sums in another order
@@ -209,13 +207,13 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
         prov, "input_sup", infl)
     input_grad_sum = _resolve(
         bounds.input_grad_sup,
-        lambda: max(sum(np.linalg.norm(model.d_input(p)[i], 2)
-                        for i in range(model.state_dim)) for p in pts),
+        lambda: np.linalg.norm(d_inputs, 2, axis=(2, 3)).sum(axis=1).max(),
         prov, "input_grad_sum", infl)
     input_col_jac_sum = _resolve(
         bounds.input_col_jac_sup,
-        lambda: max(sum(np.linalg.norm(model.d_input_col_jac(p, j), 2)
-                        for j in range(model.input_dim)) for p in pts),
+        # column j's Jacobian is d_inputs[:, :, :, j] transposed
+        lambda: np.linalg.norm(d_inputs.swapaxes(1, 2), 2,
+                               axis=(1, 2)).sum(axis=1).max(),
         prov, "input_col_jac_sum", infl)
     try:
         pinv_sup = _resolve(

@@ -412,9 +412,11 @@ def cmd_check_ccm(scn: Scenario, args, out: Path) -> int:
     cfg = scn.sim_config()
     region = sysb.metric.domain if sysb.metric.domain is not None \
         else sysb.safe_set
-    n_samples = int(scn.doc.get("sampling", {}).get("ccm_samples", 10_000))
+    if not region.is_bounded:
+        raise ScenarioError("check-ccm needs a bounded region to sample: "
+                            "give the metric a 'domain'")
     rep = ccm_check(sysb.model, sysb.metric, region=region,
-                    n_samples=n_samples, seed=cfg.seed)
+                    n_samples=scn.ccm_samples(), seed=cfg.seed)
     _write_json(out / "ccm_check.json", {"scenario": scn.name,
                                          **rep.as_dict()})
     print(f"metric conditions {'PASS' if rep.passed else 'FAIL'} on "

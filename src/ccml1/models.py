@@ -8,7 +8,9 @@ a constant metric driven to the origin by a planned trajectory.
 
 Derivative callables are optional; finite-difference fallbacks (central,
 step 1e-6*(1+|x|)) keep the condition checker and constant estimators usable
-for models given only as black-box callables.
+for models given only as black-box callables.  Code that needs the model at
+many states at once goes through :meth:`DynamicsModel.eval_batch`, which a
+model may back with a vectorized implementation.
 """
 
 from __future__ import annotations
@@ -27,8 +29,25 @@ def _fd_step(x: np.ndarray) -> float:
     return 1e-6 * (1.0 + float(np.linalg.norm(x)))
 
 
+class ModelBatch(NamedTuple):
+    """Model quantities at a (k, n) batch of states."""
+
+    drift: np.ndarray      # (k, n)
+    jac: np.ndarray        # (k, n, n)
+    input: np.ndarray      # (k, n, m)
+    d_input: np.ndarray    # (k, n, n, m), [:, i] = d(input)/dx_i
+
+
 @dataclass
 class DynamicsModel:
+    """Control-affine model given by per-state callables.
+
+    ``vectorized``, when given, maps a (k, n) batch of states to the
+    :class:`ModelBatch` that :meth:`eval_batch` returns, and must agree with
+    the per-state callables.  Without it, :meth:`eval_batch` loops over the
+    rows, so black-box callables work unchanged.
+    """
+
     state_dim: int
     input_dim: int
     drift: Callable[[np.ndarray], np.ndarray]
@@ -36,6 +55,7 @@ class DynamicsModel:
     jac_drift: Callable[[np.ndarray], np.ndarray] = None
     d_input: Callable[[np.ndarray], np.ndarray] = None  # x -> (n, n, m), [i] = d(input)/dx_i
     uncertainty: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    vectorized: Optional[Callable[[np.ndarray], ModelBatch]] = None
 
     def __post_init__(self):
         if self.jac_drift is None:
@@ -67,14 +87,25 @@ class DynamicsModel:
 
     # -- evaluation helpers ----------------------------------------------------
 
+    def eval_batch(self, xs: np.ndarray) -> ModelBatch:
+        """Drift, drift Jacobian, input matrix and input partials at a (k, n)
+        batch of states."""
+        xs = np.asarray(xs, dtype=float)
+        if self.vectorized is not None:
+            return self.vectorized(xs)
+        k, n, m = xs.shape[0], self.state_dim, self.input_dim
+        return ModelBatch(
+            np.array([self.drift(x) for x in xs], dtype=float).reshape(k, n),
+            np.array([self.jac_drift(x) for x in xs],
+                     dtype=float).reshape(k, n, n),
+            np.array([self.input_matrix(x) for x in xs],
+                     dtype=float).reshape(k, n, m),
+            np.array([self.d_input(x) for x in xs],
+                     dtype=float).reshape(k, n, n, m))
+
     def nominal_rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """drift(x) + input_matrix(x) @ u — the uncertainty-free vector field."""
         return self.drift(x) + self.input_matrix(x) @ u
-
-    def d_input_col_jac(self, x: np.ndarray, j: int) -> np.ndarray:
-        """Jacobian (n x n) of the j-th input-matrix column as a vector field."""
-        dstack = self.d_input(x)
-        return dstack[:, :, j].T
 
     def input_pinv(self, x: np.ndarray) -> np.ndarray:
         """Left pseudoinverse of the (full-column-rank) input matrix."""
@@ -162,6 +193,12 @@ class SafeSet:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
+
+    @property
+    def is_bounded(self) -> bool:
+        extent = self.half_widths if self.kind == "box" else self.radius
+        return bool(np.all(np.isfinite(self.center))
+                    and np.all(np.isfinite(extent)))
 
     def contains(self, x, margin: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -362,6 +399,23 @@ def _ex1_jac(x):
                      [0.0, -1.0, 0.0]])
 
 
+def _ex1_batch(xs):
+    # the per-state formulas above, one array operation per entry
+    x0, x1, x2 = xs[:, 0], xs[:, 1], xs[:, 2]
+    k = xs.shape[0]
+    drift = np.stack([-x0 + x2, x0 * x0 - 2.0 * x0 * x2 - x1 + x2, -x1],
+                     axis=1)
+    jac = np.zeros((k, 3, 3))
+    jac[:, 0, 0] = -1.0
+    jac[:, 0, 2] = 1.0
+    jac[:, 1, 0] = 2.0 * x0 - 2.0 * x2
+    jac[:, 1, 1] = -1.0
+    jac[:, 1, 2] = -2.0 * x0 + 1.0
+    jac[:, 2, 1] = -1.0
+    return ModelBatch(drift, jac, np.repeat(_EX1_B[None], k, axis=0),
+                      np.zeros((k, 3, 3, 1)))
+
+
 def _ex1_uncertainty(t, x):
     return np.array([0.1 * math.sin(2.0 * t)])
 
@@ -395,7 +449,8 @@ def _make_ex1() -> BuiltinSystem:
         input_matrix=lambda x: _EX1_B,
         jac_drift=_ex1_jac,
         d_input=lambda x: np.zeros((3, 3, 1)),
-        uncertainty=_ex1_uncertainty)
+        uncertainty=_ex1_uncertainty,
+        vectorized=_ex1_batch)
     metric = MetricField.from_dual_polynomial(
         _ex1_dual_poly(), contraction_rate=_EX1_RATE,
         eig_floor=_EX1_EIG[0], eig_ceil=_EX1_EIG[1],
@@ -428,6 +483,26 @@ def _ex2_jac(x):
                      [-3.0, 4.0 - 0.75 * x[1] ** 2]])
 
 
+def _pow(col, p: float) -> np.ndarray:
+    """``col ** p`` through libm's pow, as the per-state ``x[i] ** p`` does;
+    numpy's SIMD array power rounds some results differently."""
+    return np.array([math.pow(v, p) for v in col.tolist()])
+
+
+def _ex2_batch(xs):
+    x0, x1 = xs[:, 0], xs[:, 1]
+    k = xs.shape[0]
+    drift = np.stack([-x0 + 2.0 * x1,
+                      -0.25 * _pow(x1, 3.0) - 3.0 * x0 + 4.0 * x1], axis=1)
+    jac = np.empty((k, 2, 2))
+    jac[:, 0, 0] = -1.0
+    jac[:, 0, 1] = 2.0
+    jac[:, 1, 0] = -3.0
+    jac[:, 1, 1] = 4.0 - 0.75 * _pow(x1, 2.0)
+    return ModelBatch(drift, jac, np.repeat(_EX2_B[None], k, axis=0),
+                      np.zeros((k, 2, 2, 1)))
+
+
 def _ex2_uncertainty(t, x):
     return np.array([-2.0 * math.sin(2.0 * t) - 0.1 * math.hypot(x[0], x[1])])
 
@@ -449,7 +524,8 @@ def _make_ex2() -> BuiltinSystem:
         input_matrix=lambda x: _EX2_B,
         jac_drift=_ex2_jac,
         d_input=lambda x: np.zeros((2, 2, 1)),
-        uncertainty=_ex2_uncertainty)
+        uncertainty=_ex2_uncertainty,
+        vectorized=_ex2_batch)
     safe = SafeSet.box(np.zeros(2), _EX2_BOX)
     metric = MetricField.constant_dual(
         _EX2_DUAL, contraction_rate=_EX2_RATE,

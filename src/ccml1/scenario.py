@@ -20,7 +20,7 @@ from .errors import ScenarioError
 from .l1_control import L1Config
 from .metric import MetricField, PolyMatrix
 from .models import (AssumptionBounds, BuiltinSystem, DesiredTrajectory,
-                     DynamicsModel, SafeSet, builtin_example)
+                     DynamicsModel, ModelBatch, SafeSet, builtin_example)
 from .sim import SimConfig
 
 SCHEMA_VERSION = 1
@@ -28,6 +28,7 @@ SCHEMA_VERSION = 1
 _TOP_KEYS = {"version", "name", "model", "metric", "bounds", "tube", "l1",
              "sim", "init", "desired", "obstacles", "outputs", "sweep",
              "sampling"}
+_SAMPLING_KEYS = {"ccm_samples"}
 
 
 def canonical_json(doc: dict) -> str:
@@ -80,6 +81,7 @@ class Scenario:
         scn.system()          # force validation of the heavy sections
         scn.sim_config()
         scn.l1_spec()
+        scn.ccm_samples()
         return scn
 
     @classmethod
@@ -129,19 +131,33 @@ class Scenario:
             b_const = np.asarray(bdoc["constant"], dtype=float)
             _require(b_const.shape == (n, m),
                      "input matrix shape must be (state_dim, input_dim)")
+            b_poly = PolyMatrix(n, (n, m), [((0,) * n, b_const)])
             input_matrix = lambda x, b=b_const: b
             d_input = lambda x: np.zeros((n, n, m))
         else:
             b_poly = PolyMatrix.from_entry_table(n, bdoc["entries"])
             _require(b_poly.shape == (n, m), "input matrix entry table shape")
-            b_partials = [b_poly.partial(i) for i in range(n)]
             input_matrix = b_poly.__call__
             d_input = lambda x: np.stack([bp(x) for bp in b_partials])
+        b_partials = [b_poly.partial(i) for i in range(n)]
+
+        # drift with its partials, and the input matrix with its partials,
+        # each as one stacked polynomial: a batch costs two evaluations
+        drift_stack = PolyMatrix.vstack([drift_poly] + drift_partials)
+        b_stack = PolyMatrix.vstack([b_poly] + b_partials)
+
+        def vectorized(xs):
+            k = xs.shape[0]
+            f = drift_stack.eval_batch(xs).reshape(k, n + 1, n)
+            b = b_stack.eval_batch(xs).reshape(k, n + 1, n, m)
+            return ModelBatch(f[:, 0], f[:, 1:].swapaxes(1, 2), b[:, 0],
+                              b[:, 1:])
 
         unc = self._uncertainty_fn(model_doc.get("uncertainty"), m)
         model = DynamicsModel(state_dim=n, input_dim=m, drift=drift,
                               input_matrix=input_matrix, jac_drift=jac,
-                              d_input=d_input, uncertainty=unc)
+                              d_input=d_input, uncertainty=unc,
+                              vectorized=vectorized)
 
         metric_doc = self.doc.get("metric")
         _require(metric_doc is not None, "inline model needs a 'metric'")
@@ -215,6 +231,18 @@ class Scenario:
                      or (isinstance(val, (int, float)) and val > 0),
                      f"l1.{key} must be positive or 'auto'")
         return out
+
+    def ccm_samples(self) -> int:
+        """Sample count of check-ccm: ``sampling.ccm_samples``, default
+        10,000."""
+        sdoc = self.doc.get("sampling", {})
+        _require(isinstance(sdoc, dict), "'sampling' must be an object")
+        unknown = set(sdoc) - _SAMPLING_KEYS
+        _require(not unknown, f"unknown sampling keys: {sorted(unknown)}")
+        val = sdoc.get("ccm_samples", 10_000)
+        _require(isinstance(val, int) and not isinstance(val, bool)
+                 and val > 0, "sampling.ccm_samples must be a positive integer")
+        return val
 
     def make_l1_config(self, model: DynamicsModel, omega: float,
                        gamma: float, unc_bound: float) -> L1Config:

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,27 @@ def _short_ex1_doc(**extra):
     }
     doc.update(extra)
     return doc
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _inline_doc(state_dim, input_dim, drift, input_matrix, dual, **metric):
+    """Inline scenario with a constant dual metric (given as a matrix)."""
+    dual_table = [[[{"powers": [0] * state_dim, "coeff": float(v)}] if v
+                   else [] for v in row] for row in dual]
+    return {
+        "version": SCHEMA_VERSION,
+        "name": "inline",
+        "model": {"state_dim": state_dim, "input_dim": input_dim,
+                  "drift": drift, "input_matrix": {"constant": input_matrix}},
+        "metric": dict({"dual": dual_table, "rate": 0.5, "eig_floor": 0.9,
+                        "eig_ceil": 1.1}, **metric),
+        "sim": {"dt": 0.01, "t_final": 1.0},
+        "desired": {"kind": "constant", "state": [0.0] * state_dim,
+                    "input": [0.0] * input_dim},
+        "sampling": {"ccm_samples": 300},
+    }
 
 
 def _write(tmp_path, doc, name="scn.json"):
@@ -284,3 +306,53 @@ class TestCheckCcm:
         report = json.loads((out / "ccm_check.json").read_text())
         assert report["passed"] is False
         assert report["contraction_margin"] < 0.0
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_builtin_report_matches_golden_bytes(self, name, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["check-ccm", "--builtin", name, "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        golden = DATA / f"ccm_check_{name}_seed0.json"
+        assert (out / "ccm_check.json").read_bytes() == golden.read_bytes()
+
+    def test_fully_actuated_model_writes_null_margin(self, tmp_path, capsys):
+        # one state, one input: input^T metric never has a null space, so
+        # the contraction condition has nothing to check
+        doc = _inline_doc(
+            1, 1, [[{"powers": [1], "coeff": -1.0}]], [[1.0]], [[1.0]],
+            domain={"kind": "box", "center": [0.0], "half_widths": [1.0]})
+        path = _write(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["check-ccm", "--scenario", str(path), "--out", str(out)])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+        report = json.loads((out / "ccm_check.json").read_text())
+        assert report["passed"] is True
+        assert report["contraction_margin"] is None
+        assert report["contraction_checked"] is False
+        assert report["eig_margin"] > 0.0
+
+    def test_no_bounded_region_is_a_scenario_error(self, tmp_path, capsys):
+        # without metric.domain the only region is the unbounded safe set
+        doc = _inline_doc(
+            2, 1, [[{"powers": [0, 1], "coeff": 1.0}],
+                   [{"powers": [1, 0], "coeff": -1.0},
+                    {"powers": [0, 1], "coeff": -1.0}]],
+            [[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        path = _write(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["check-ccm", "--scenario", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "bounded region" in capsys.readouterr().err
+        assert not (out / "ccm_check.json").exists()
+
+    @pytest.mark.parametrize("sampling", [{"ccm_samples": "abc"},
+                                          {"ccm_samples": -5},
+                                          {"ccm_smaples": 500}])
+    def test_bad_sampling_section_exits_1(self, sampling, tmp_path, capsys):
+        path = _write(tmp_path, _short_ex1_doc(sampling=sampling))
+        rc = main(["check-ccm", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "sampling" in capsys.readouterr().err

@@ -1,13 +1,16 @@
 """Polynomial matrices, metric fields, and the pointwise metric checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ccml1.errors import MetricDomainError, MetricValidationError
-from ccml1.metric import (MetricField, PolyMatrix, _inv_batch, ccm_check,
-                          sym)
-from ccml1.models import SafeSet, builtin_example
+from ccml1.metric import (_CHUNK, CcmCheckReport, MetricField, PolyMatrix,
+                          _inv_batch, ccm_check, sym)
+from ccml1.models import DynamicsModel, SafeSet, builtin_example
+from ccml1.scenario import SCHEMA_VERSION, Scenario, canonical_json
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)
@@ -223,3 +226,201 @@ class TestFusedKernel:
             with pytest.raises(MetricDomainError) as err:
                 field.metric_and_partials_batch(xs, check_pd=rows)
             np.testing.assert_array_equal(err.value.x, [bad])
+
+
+# --- stacked ccm_check against the per-point loop it replaced ---------------
+
+
+def _reference_ccm_check(model, field, region=None, n_samples=10_000, seed=0,
+                         slack=1e-8, rank_tol_scale=1e-10):
+    """The per-point ccm_check loop: one model call, one tensordot and one
+    or two SVDs per sample."""
+    region = region if region is not None else field.domain
+    rng = np.random.default_rng(seed)
+    pts = region.sample(n_samples, rng, include_extremes=True)
+
+    eig_margin = contraction_margin = killing_margin = np.inf
+    violations = []
+    lam = field.contraction_rate
+    ms, dms = field.metric_and_partials_batch(pts)
+    eigs = np.linalg.eigvalsh(ms)
+    slack_eig = 1e-9 * field.eig_ceil
+    for x, m, dm, ev in zip(pts, ms, dms, eigs):
+        e_marg = min(ev[0] - field.eig_floor, field.eig_ceil - ev[-1])
+        eig_margin = min(eig_margin, e_marg)
+
+        b = model.input_matrix(x)
+        jac = model.jac_drift(x)
+        fx = model.drift(x)
+        d_along_f = np.tensordot(fx, dm, axes=(0, 0))
+        contraction_mat = d_along_f + sym(m @ jac) + 2.0 * lam * m
+
+        bm = b.T @ m
+        sv = np.linalg.svd(bm, compute_uv=False)
+        tol = rank_tol_scale * (sv[0] if sv.size else 1.0)
+        rank = int(np.sum(sv > tol))
+        c_marg = np.inf
+        if rank < field.dim:
+            _, _, vt = np.linalg.svd(bm)
+            basis = vt[rank:].T
+            proj = basis.T @ contraction_mat @ basis
+            c_marg = -np.linalg.eigvalsh(proj)[-1]
+            contraction_margin = min(contraction_margin, c_marg)
+
+        k_marg = np.inf
+        for j in range(model.input_dim):
+            col = b[:, j]
+            d_along_b = np.tensordot(col, dm, axes=(0, 0))
+            col_jac = model.d_input(x)[:, :, j].T
+            resid = d_along_b + sym(m @ col_jac)
+            k_marg = min(k_marg, -np.linalg.norm(resid, 2))
+        killing_margin = min(killing_margin, k_marg)
+
+        if e_marg < -slack_eig or c_marg < -slack or k_marg < -slack:
+            violations.append(np.array(x))
+
+    return CcmCheckReport(
+        eig_margin=float(eig_margin),
+        contraction_margin=float(contraction_margin),
+        killing_margin=float(killing_margin),
+        n_samples=len(pts), violations=violations,
+        tol_eig=slack_eig, tol_contraction=slack, tol_killing=slack)
+
+
+def _report_bytes(rep):
+    return canonical_json(rep.as_dict())
+
+
+def _greedy_ex2(ex2):
+    """ex2's metric at ten times its rate: most samples violate."""
+    return MetricField.from_dual_polynomial(
+        ex2.metric.dual_poly,
+        contraction_rate=10.0 * ex2.metric.contraction_rate,
+        eig_floor=ex2.metric.eig_floor, eig_ceil=ex2.metric.eig_ceil,
+        domain=ex2.metric.domain, validate=False)
+
+
+class _GridRegion:
+    """Uniform samples in [-0.5, 0.5]^3 with x0 snapped to multiples of
+    0.25, so a fifth of them sit on the plane x0 = 0."""
+
+    def sample(self, k, rng, include_extremes=False):
+        pts = rng.uniform(-0.5, 0.5, (k, 3))
+        pts[:, 0] = np.round(pts[:, 0] * 4.0) / 4.0
+        return pts
+
+
+def _mixed_rank_system():
+    """Inline 3-state, 2-input model whose input matrix [[1, 0], [0, x0],
+    [x1, 0]] drops to rank 1 on x0 = 0, with a dual metric depending on x0
+    and x2: ranks mix within a chunk, and the Killing residual is nonzero."""
+    def term(coeff, *powers):
+        return {"coeff": coeff, "powers": list(powers)}
+
+    field = _two_coordinate_field()
+    doc = {
+        "version": SCHEMA_VERSION,
+        "name": "mixed-rank",
+        "model": {
+            "state_dim": 3,
+            "input_dim": 2,
+            "drift": [[term(-1.0, 1, 0, 0), term(1.0, 0, 0, 1),
+                       term(0.5, 0, 2, 0)],
+                      [term(1.0, 1, 0, 1), term(-1.0, 0, 1, 0)],
+                      [term(-1.0, 0, 1, 0), term(-0.3, 3, 0, 0)]],
+            "input_matrix": {"entries": [
+                [[term(1.0, 0, 0, 0)], []],
+                [[], [term(1.0, 1, 0, 0)]],
+                [[term(1.0, 0, 1, 0)], []]]},
+        },
+        "metric": {"dual": field.dual_poly.to_entry_table(), "rate": 1.0,
+                   "eig_floor": 0.1, "eig_ceil": 10.0},
+        "sim": {"dt": 0.01, "t_final": 1.0},
+        "desired": {"kind": "constant", "state": [0.0, 0.0, 0.0],
+                    "input": [0.0, 0.0]},
+    }
+    return Scenario.from_dict(doc).system().model, field
+
+
+class TestStackedCcmCheck:
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("which", ["ex1", "ex2"])
+    def test_builtin_reports_are_byte_identical(self, which, seed, ex1, ex2):
+        sysb = {"ex1": ex1, "ex2": ex2}[which]
+        got = ccm_check(sysb.model, sysb.metric, seed=seed)
+        ref = _reference_ccm_check(sysb.model, sysb.metric, seed=seed)
+        assert got.n_samples == 10_000
+        assert _report_bytes(got) == _report_bytes(ref)
+
+    def test_mixed_ranks_and_killing_residual(self):
+        model, field = _mixed_rank_system()
+        region = _GridRegion()
+        got = ccm_check(model, field, region=region, n_samples=3000, seed=5)
+        ref = _reference_ccm_check(model, field, region=region,
+                                   n_samples=3000, seed=5)
+        # the case is the one described: both ranks in the first chunk, and
+        # a Killing residual that is not zero
+        pts = region.sample(3000, np.random.default_rng(5))
+        on_plane = pts[:_CHUNK, 0] == 0.0
+        assert on_plane.any() and not on_plane.all()
+        assert ref.killing_margin < -1e-3
+        for name in ("eig_margin", "contraction_margin", "killing_margin"):
+            want = getattr(ref, name)
+            assert np.isfinite(want)
+            assert getattr(got, name) == pytest.approx(want, rel=1e-12,
+                                                       abs=0.0), name
+        assert len(got.violations) == len(ref.violations) > 0
+        np.testing.assert_array_equal(np.array(got.violations),
+                                      np.array(ref.violations))
+
+    @pytest.mark.parametrize("n_samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("which", ["ex1", "greedy_ex2"])
+    def test_chunk_boundaries(self, which, n_samples, ex1, ex2):
+        model, field = ((ex1.model, ex1.metric) if which == "ex1"
+                        else (ex2.model, _greedy_ex2(ex2)))
+        got = ccm_check(model, field, n_samples=n_samples, seed=3)
+        ref = _reference_ccm_check(model, field, n_samples=n_samples, seed=3)
+        assert _report_bytes(got) == _report_bytes(ref)
+        np.testing.assert_array_equal(np.array(got.violations),
+                                      np.array(ref.violations))
+        if which == "greedy_ex2" and n_samples > _CHUNK:
+            assert got.violations and not got.passed
+
+    def test_black_box_model_takes_the_row_loop(self, ex1):
+        m = ex1.model
+        calls = []
+
+        def drift(x):
+            calls.append(1)
+            return m.drift(x)
+
+        black_box = DynamicsModel(m.state_dim, m.input_dim, drift,
+                                  m.input_matrix, m.jac_drift, m.d_input)
+        assert black_box.vectorized is None
+        got = ccm_check(black_box, ex1.metric, n_samples=2000, seed=2)
+        assert len(calls) == 2000
+        want = ccm_check(m, ex1.metric, n_samples=2000, seed=2)
+        assert _report_bytes(got) == _report_bytes(want)
+
+    @pytest.mark.parametrize("broken", ["drift", "input_matrix"])
+    def test_non_finite_margins_are_violations(self, broken, ex1):
+        # ex1 passes, except where one model callable is made NaN: the
+        # margins it enters are NaN exactly there, and those samples fail
+        m = ex1.model
+        calls = {"drift": m.drift, "input_matrix": m.input_matrix}
+        good = calls[broken]
+        calls[broken] = lambda x: good(x) * (np.nan if x[0] > 0.04 else 1.0)
+        model = DynamicsModel(m.state_dim, m.input_dim, calls["drift"],
+                              calls["input_matrix"], m.jac_drift, m.d_input)
+        rep = ccm_check(model, ex1.metric, n_samples=1500, seed=0)
+        pts = ex1.metric.domain.sample(1500, np.random.default_rng(0),
+                                       include_extremes=True)
+        nan_pts = pts[pts[:, 0] > 0.04]
+        assert 0 < len(nan_pts) < len(pts)
+        np.testing.assert_array_equal(np.array(rep.violations), nan_pts)
+        assert not rep.passed
+        d = rep.as_dict()
+        assert d["contraction_margin"] is None
+        assert d["eig_margin"] > 0.0
+        assert d["killing_margin"] == (0.0 if broken == "drift" else None)
+        assert json.loads(canonical_json(d)) == d

@@ -37,6 +37,47 @@ def test_analytic_jacobians_match_finite_differences(name, scale):
                                    rtol=1e-5, atol=1e-6)
 
 
+def _row_loop(model, xs):
+    """eval_batch as the fallback computes it: the per-state callables."""
+    return DynamicsModel(model.state_dim, model.input_dim, model.drift,
+                         model.input_matrix, model.jac_drift,
+                         model.d_input).eval_batch(xs)
+
+
+@pytest.mark.parametrize("name,scale", [("ex1", 0.1), ("ex2", 6.0)])
+def test_vectorized_builtins_equal_the_row_loop(name, scale):
+    model = builtin_example(name).model
+    assert model.vectorized is not None
+    xs = np.random.default_rng(8).uniform(-scale, scale,
+                                          (5000, model.state_dim))
+    got, want = model.eval_batch(xs), _row_loop(model, xs)
+    for field, a, b in zip(got._fields, got, want):
+        assert a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+
+
+def test_row_loop_fallback_shapes():
+    calls = []
+
+    def drift(x):
+        calls.append(1)
+        return np.array([-x[0] + x[1] ** 2, -x[1]])
+
+    model = DynamicsModel(2, 1, drift, lambda x: np.array([[0.0], [x[0]]]))
+    xs = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 0.0]])
+    got = model.eval_batch(xs)
+    # 3 drift calls for the rows, 4 per row for the central differences
+    assert len(calls) == 3 + 3 * 4
+    assert [a.shape for a in got] == [(3, 2), (3, 2, 2), (3, 2, 1),
+                                      (3, 2, 2, 1)]
+    for k, x in enumerate(xs):
+        np.testing.assert_array_equal(got.drift[k], drift(x))
+        np.testing.assert_array_equal(got.d_input[k], model.d_input(x))
+    empty = model.eval_batch(np.zeros((0, 2)))
+    assert [a.shape for a in empty] == [(0, 2), (0, 2, 2), (0, 2, 1),
+                                        (0, 2, 2, 1)]
+
+
 def test_input_pinv_is_left_inverse(ex1, ex2):
     for sysb, x in ((ex1, np.array([0.01, 0.02, -0.03])),
                     (ex2, np.array([1.0, -2.0]))):
@@ -83,6 +124,12 @@ class TestSafeSet:
         # extreme points include the corners themselves
         corner = np.array([1.5, -0.75])
         assert any(np.allclose(p, corner) for p in pts)
+
+    def test_bounded(self):
+        assert SafeSet.box(np.zeros(2), 1.0).is_bounded
+        assert SafeSet.ball(np.zeros(2), 3.0).is_bounded
+        assert not SafeSet.ball(np.zeros(2), np.inf).is_bounded
+        assert not SafeSet.box(np.zeros(2), [1.0, np.inf]).is_bounded
 
     def test_dict_round_trip(self):
         for s in (SafeSet.box([0.0, 1.0], [2.0, 3.0]),

@@ -105,6 +105,24 @@ class TestStrictParsing:
         with pytest.raises(ScenarioError, match="bounds"):
             Scenario.from_dict(doc)
 
+    def test_sampling_section(self):
+        assert Scenario.from_dict(_linear_doc()).ccm_samples() == 10_000
+        scn = Scenario.from_dict(_linear_doc(sampling={"ccm_samples": 500}))
+        assert scn.ccm_samples() == 500
+
+    @pytest.mark.parametrize("sampling,match", [
+        ({"ccm_samples": "abc"}, "positive integer"),
+        ({"ccm_samples": -5}, "positive integer"),
+        ({"ccm_samples": 0}, "positive integer"),
+        ({"ccm_samples": 12.5}, "positive integer"),
+        ({"ccm_samples": True}, "positive integer"),
+        ({"ccm_smaples": 500}, "ccm_smaples"),
+        ([500], "object"),
+    ])
+    def test_bad_sampling_rejected(self, sampling, match):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict(_linear_doc(sampling=sampling))
+
 
 class TestInlineSystem:
     def test_dynamics_evaluate(self):
@@ -148,6 +166,26 @@ class TestInlineSystem:
         stack = sysb.model.d_input(x)          # [i] = d(input matrix)/dx_i
         np.testing.assert_allclose(stack[0], [[0.0], [0.5]])
         np.testing.assert_allclose(stack[1], [[0.0], [0.0]])
+
+    @pytest.mark.parametrize("input_matrix", ["constant", "polynomial"])
+    def test_vectorized_model_matches_the_callables(self, input_matrix):
+        doc = _linear_doc()
+        doc["model"]["drift"][0].append({"powers": [2, 1], "coeff": 0.3})
+        if input_matrix == "polynomial":
+            doc["model"]["input_matrix"] = {
+                "entries": [[[{"powers": [0, 1], "coeff": 2.0}]],
+                            [[{"powers": [0, 0], "coeff": 1.0},
+                              {"powers": [1, 1], "coeff": 0.5}]]]}
+        model = Scenario.from_dict(doc).system().model
+        xs = np.random.default_rng(4).uniform(-2.0, 2.0, (30, 2))
+        got = model.eval_batch(xs)
+        want = (np.array([model.drift(x) for x in xs]),
+                np.array([model.jac_drift(x) for x in xs]),
+                np.array([model.input_matrix(x) for x in xs]),
+                np.array([model.d_input(x) for x in xs]))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14)
 
 
 class TestUncertaintyFamily:
