@@ -27,7 +27,8 @@ from .errors import InfeasibleCertificate
 from .geodesic import GeodesicSolver
 from .l1_control import L1Config
 from .metric import MetricField, sym
-from .models import AssumptionBounds, DesiredTrajectory, DynamicsModel
+from .models import (AssumptionBounds, DesiredTrajectory, DynamicsModel,
+                     row_dot)
 
 _SIGMA_FLOOR = 1e-10
 _POLE_TOL = 1e-9
@@ -188,14 +189,13 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
 
     domain_exceeded = False
     if field.domain is not None:
-        domain_exceeded = not all(field.domain.contains(p) for p in pts)
+        domain_exceeded = not bool(np.all(field.domain.contains(pts)))
 
     # --- resolved model bounds ------------------------------------------------
     drifts, jacs, inputs, d_inputs = model.eval_batch(pts)
     drift_sup = _resolve(
         bounds.drift_sup,
-        # row by row: a batched vector norm sums in another order
-        lambda: max(np.linalg.norm(f) for f in drifts),
+        lambda: np.sqrt(row_dot(drifts, drifts)).max(),
         prov, "drift_sup", infl)
     drift_jac_sup = _resolve(
         bounds.drift_jac_sup,

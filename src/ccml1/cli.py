@@ -11,8 +11,8 @@ sweep      grid of tunings; one CSV row per combination with certificate
 check-ccm  sample the pointwise metric conditions over the operating region
 
 Exit codes: 0 success, 1 usage or scenario error, 2 certificate infeasible
-(or metric check failed), 3 simulation divergence (partial outputs are
-still written).
+(or metric check failed, or the planner failed), 3 simulation divergence
+(partial outputs are still written).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .certification import (TubeSampling, check_conditions, estimate_deltas,
                             search_params)
 from .errors import (CcmL1Error, DivergenceError, InfeasibleCertificate,
-                     ScenarioError)
+                     PlannerFailure, ScenarioError)
 from .metric import ccm_check
 from .models import DesiredTrajectory
 from .scenario import (Scenario, builtin_scenario, canonical_json,
@@ -457,6 +457,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InfeasibleCertificate as exc:
         print(f"certificate infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except PlannerFailure as exc:
+        print(f"planner failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except DivergenceError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)

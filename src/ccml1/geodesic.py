@@ -151,10 +151,11 @@ class GeodesicSolver:
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise GeodesicDomainError("non-finite geodesic endpoint")
         if self.enforce_domain and self.field.domain is not None:
-            for pt in (p, q):
-                if not self.field.domain.contains(pt, margin=-1e-9):
-                    raise GeodesicDomainError(
-                        f"endpoint {pt} outside the metric's validated domain")
+            inside = self.field.domain.contains(np.array([p, q]), margin=-1e-9)
+            if not inside.all():
+                pt = q if inside[0] else p      # p is reported first
+                raise GeodesicDomainError(
+                    f"endpoint {pt} outside the metric's validated domain")
 
         gap = float(np.linalg.norm(q - p))
         n_nodes = self.n_intervals + 1

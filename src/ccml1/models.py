@@ -29,6 +29,17 @@ def _fd_step(x: np.ndarray) -> float:
     return 1e-6 * (1.0 + float(np.linalg.norm(x)))
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (last axis) of two stacks.
+
+    A stacked matmul of (1, d) by (d, 1) slices makes one BLAS dot per row,
+    the same call as a 1-D ``a @ b``, so each result carries the bits of
+    the row-by-row product (an elementwise multiply-and-sum rounds
+    differently wherever BLAS fuses the multiply-add).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 class ModelBatch(NamedTuple):
     """Model quantities at a (k, n) batch of states."""
 
@@ -36,6 +47,11 @@ class ModelBatch(NamedTuple):
     jac: np.ndarray        # (k, n, n)
     input: np.ndarray      # (k, n, m)
     d_input: np.ndarray    # (k, n, n, m), [:, i] = d(input)/dx_i
+
+    def rate(self, us: np.ndarray) -> np.ndarray:
+        """Nominal rate ``drift + input @ u`` of each row under the matching
+        row of a (k, m) input stack."""
+        return self.drift + (self.input @ us[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -200,11 +216,17 @@ class SafeSet:
         return bool(np.all(np.isfinite(self.center))
                     and np.all(np.isfinite(extent)))
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x, margin: float = 0.0):
+        """Membership of a state, as a bool, or of each row of a (k, n)
+        stack, as a (k,) bool array."""
         x = np.asarray(x, dtype=float)
+        d = x - self.center
         if self.kind == "box":
-            return bool(np.all(np.abs(x - self.center) <= self.half_widths - margin))
-        return bool(np.linalg.norm(x - self.center) <= self.radius - margin)
+            inside = (np.abs(d) <= self.half_widths - margin).all(axis=-1)
+        else:
+            # sqrt of the BLAS dot, as np.linalg.norm of one row computes it
+            inside = np.sqrt(row_dot(d, d)) <= self.radius - margin
+        return bool(inside) if x.ndim == 1 else inside
 
     def erode(self, rho: float) -> "SafeSet":
         """Pontryagin difference with a Euclidean rho-ball (closed form)."""
@@ -351,23 +373,21 @@ class DesiredTrajectory:
         if per == 1:
             return self
         n_seg = self.states.shape[0] - 1
-        states = np.zeros((n_seg * per + 1, self.states.shape[1]))
-        inputs = np.zeros((n_seg * per + 1, self.inputs.shape[1]))
+        states = np.empty((n_seg * per + 1, self.states.shape[1]))
         states[0] = self.states[0]
-        row = 0
-        for k in range(n_seg):
-            u = self.inputs[k]
-            x = self.states[k].copy()
-            for _ in range(per):
-                k1 = model.nominal_rate(x, u)
-                k2 = model.nominal_rate(x + 0.5 * dt * k1, u)
-                k3 = model.nominal_rate(x + 0.5 * dt * k2, u)
-                k4 = model.nominal_rate(x + dt * k3, u)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                inputs[row] = u
-                row += 1
-                states[row] = x
-        inputs[row] = self.inputs[-1]
+        inputs = np.vstack([np.repeat(self.inputs[:-1], per, axis=0),
+                            self.inputs[-1:]])
+        # the segments are independent, so all of them advance together:
+        # substep j of segment k lands on row k * per + j + 1
+        us = self.inputs[:-1]
+        x = self.states[:-1]
+        for j in range(per):
+            k1 = model.eval_batch(x).rate(us)
+            k2 = model.eval_batch(x + 0.5 * dt * k1).rate(us)
+            k3 = model.eval_batch(x + 0.5 * dt * k2).rate(us)
+            k4 = model.eval_batch(x + dt * k3).rate(us)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[j + 1::per] = x
         return DesiredTrajectory(t0=self.t0, dt=dt, states=states,
                                  inputs=inputs)
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import MetricDomainError, MetricValidationError, ScenarioError
 from .l1_control import L1Config
 from .metric import MetricField, PolyMatrix
 from .models import (AssumptionBounds, BuiltinSystem, DesiredTrajectory,
-                     DynamicsModel, ModelBatch, SafeSet, builtin_example)
+                     DynamicsModel, ModelBatch, SafeSet, builtin_example,
+                     row_dot)
 from .sim import SimConfig
 
 SCHEMA_VERSION = 1
@@ -29,6 +30,12 @@ _TOP_KEYS = {"version", "name", "model", "metric", "bounds", "tube", "l1",
              "sim", "init", "desired", "obstacles", "outputs", "sweep",
              "sampling"}
 _SAMPLING_KEYS = {"ccm_samples"}
+# desired kind -> its keys (all required) and which vectors have which length
+_DESIRED_KEYS = {"constant": {"kind", "state", "input"},
+                 "plan": {"kind", "start", "target", "t_final", "dt"}}
+_DESIRED_VECTORS = {"state": "state_dim", "input": "input_dim",
+                    "start": "state_dim", "target": "state_dim"}
+_OBSTACLE_KEYS = {"polygon"}
 
 
 def canonical_json(doc: dict) -> str:
@@ -39,6 +46,19 @@ def canonical_json(doc: dict) -> str:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ScenarioError(msg)
+
+
+def _is_finite_number(val) -> bool:
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
+def _vector(val, length: int, name: str) -> np.ndarray:
+    """A list of ``length`` finite numbers, as a float array."""
+    _require(isinstance(val, list) and len(val) == length
+             and all(_is_finite_number(v) for v in val),
+             f"{name} must be a list of {length} finite numbers")
+    return np.array(val, dtype=float)
 
 
 def _num(doc: dict, key: str, default=None, positive=False):
@@ -78,10 +98,13 @@ class Scenario:
         _require("model" in doc, "scenario needs a 'model' section")
         _require("sim" in doc, "scenario needs a 'sim' section")
         scn = cls(doc=doc)
-        scn.system()          # force validation of the heavy sections
+        sysb = scn.system()   # force validation of the heavy sections
         scn.sim_config()
         scn.l1_spec()
         scn.ccm_samples()
+        if "desired" in doc:
+            scn.desired_spec(sysb.model)
+        scn.obstacles()
         return scn
 
     @classmethod
@@ -165,11 +188,18 @@ class Scenario:
                   if "domain" in metric_doc else None)
         dual = PolyMatrix.from_entry_table(n, metric_doc["dual"])
         _require(dual.shape == (n, n), "metric dual table must be square")
-        field = MetricField.from_dual_polynomial(
-            dual, contraction_rate=_num(metric_doc, "rate", positive=True),
-            eig_floor=_num(metric_doc, "eig_floor", positive=True),
-            eig_ceil=_num(metric_doc, "eig_ceil", positive=True),
-            domain=domain)
+        try:
+            field = MetricField.from_dual_polynomial(
+                dual, contraction_rate=_num(metric_doc, "rate", positive=True),
+                eig_floor=_num(metric_doc, "eig_floor", positive=True),
+                eig_ceil=_num(metric_doc, "eig_ceil", positive=True),
+                domain=domain)
+        except MetricDomainError as exc:
+            at = "" if exc.x is None else f" at x = {exc.x.tolist()}"
+            raise ScenarioError(f"metric dual is not positive definite{at} "
+                                f"inside metric.domain") from exc
+        except MetricValidationError as exc:
+            raise ScenarioError(f"metric: {exc}") from exc
 
         try:
             bounds = AssumptionBounds(**self.doc.get("bounds", {}))
@@ -263,22 +293,46 @@ class Scenario:
             return x0
         return np.asarray(default, dtype=float)
 
-    def desired_spec(self) -> dict:
+    def desired_spec(self, model: DynamicsModel | None = None) -> dict:
+        """The ``desired`` section, checked key by key for its kind; with a
+        model, its vectors are checked against the model's dimensions too."""
         ddoc = self.doc.get("desired")
         _require(ddoc is not None, "scenario needs a 'desired' section")
+        _require(isinstance(ddoc, dict), "'desired' must be an object")
         kind = ddoc.get("kind")
-        _require(kind in ("constant", "plan"),
+        _require(kind in _DESIRED_KEYS,
                  "desired.kind must be 'constant' or 'plan'")
+        keys = _DESIRED_KEYS[kind]
+        unknown = set(ddoc) - keys
+        _require(not unknown,
+                 f"unknown desired keys for kind {kind!r}: {sorted(unknown)}")
+        missing = keys - set(ddoc)
+        _require(not missing,
+                 f"desired kind {kind!r} needs keys {sorted(missing)}")
+        if kind == "plan":
+            for key in ("t_final", "dt"):
+                _require(_is_finite_number(ddoc[key]) and ddoc[key] > 0,
+                         f"desired.{key} must be a positive finite number")
+        if model is not None:
+            for key in sorted(keys & _DESIRED_VECTORS.keys()):
+                dim = _DESIRED_VECTORS[key]
+                _vector(ddoc[key], getattr(model, dim),
+                        f"desired.{key} ({dim})")
         return ddoc
 
     def obstacles(self) -> list[np.ndarray]:
         obs = self.doc.get("obstacles", [])
+        _require(isinstance(obs, list), "'obstacles' must be a list")
         out = []
         for item in obs:
-            poly = np.asarray(item["polygon"], dtype=float)
-            _require(poly.ndim == 2 and poly.shape[0] >= 3,
+            _require(isinstance(item, dict) and set(item) == _OBSTACLE_KEYS,
+                     "each obstacle must be an object with only a "
+                     "'polygon' key")
+            verts = item["polygon"]
+            _require(isinstance(verts, list) and len(verts) >= 3,
                      "obstacle polygon needs at least three vertices")
-            out.append(poly)
+            out.append(np.array([_vector(v, 2, "obstacle polygon vertex")
+                                 for v in verts]))
         return out
 
     def sweep_spec(self) -> dict:
@@ -296,23 +350,34 @@ class Scenario:
 # --- obstacle geometry ---------------------------------------------------------
 
 
+def _signed_distances(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
+    """Signed distance from each row of a (k, 2) stack to a polygon
+    (negative inside).
+
+    Per edge, over all points at once: the distance to the nearest point
+    of the edge, and an even-odd crossing test of the ray towards +x.
+    """
+    verts = np.asarray(polygon, dtype=float)
+    dmin = np.full(points.shape[0], math.inf)
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        ab = b - a
+        tt = np.clip(row_dot(points - a, ab) / max(ab @ ab, 1e-300),
+                     0.0, 1.0)
+        gap = points - (a + tt[:, None] * ab)
+        dmin = np.minimum(dmin, np.sqrt(row_dot(gap, gap)))
+        if a[1] != b[1]:          # a horizontal edge is never crossed
+            straddle = (a[1] > points[:, 1]) != (b[1] > points[:, 1])
+            x_cross = a[0] + (points[:, 1] - a[1]) * (b[0] - a[0]) \
+                / (b[1] - a[1])
+            inside ^= straddle & (points[:, 0] < x_cross)
+    return np.where(inside, -dmin, dmin)
+
+
 def point_polygon_distance(point: np.ndarray, polygon: np.ndarray) -> float:
     """Signed distance from a 2-D point to a polygon (negative inside)."""
-    p = np.asarray(point, dtype=float)[:2]
-    verts = np.asarray(polygon, dtype=float)
-    k = verts.shape[0]
-    dmin = math.inf
-    inside = False
-    for i in range(k):
-        a, b = verts[i], verts[(i + 1) % k]
-        ab = b - a
-        tt = float(np.clip((p - a) @ ab / max(ab @ ab, 1e-300), 0.0, 1.0))
-        dmin = min(dmin, float(np.linalg.norm(p - (a + tt * ab))))
-        if ((a[1] > p[1]) != (b[1] > p[1])):
-            x_cross = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if p[0] < x_cross:
-                inside = not inside
-    return -dmin if inside else dmin
+    p = np.asarray(point, dtype=float)[None, :2]
+    return float(_signed_distances(p, polygon)[0])
 
 
 def tube_obstacle_clearance(states_star: np.ndarray, rho: float,
@@ -320,11 +385,9 @@ def tube_obstacle_clearance(states_star: np.ndarray, rho: float,
     """Worst clearance between the tube and any obstacle (>= 0 means clear)."""
     if not obstacles:
         return math.inf
-    worst = math.inf
-    for poly in obstacles:
-        for xs in states_star:
-            worst = min(worst, point_polygon_distance(xs, poly) - rho)
-    return worst
+    pts = np.asarray(states_star, dtype=float)[:, :2]
+    return min(float((_signed_distances(pts, poly) - rho).min())
+               for poly in obstacles)
 
 
 # --- shipped defaults ------------------------------------------------------------

@@ -290,47 +290,42 @@ def integrate_nominal_ccm(model: DynamicsModel, field: MetricField,
 # --- planning ----------------------------------------------------------------
 
 
-def _rk4_with_sensitivities(model: DynamicsModel, x: np.ndarray,
-                            u: np.ndarray, dt: float):
-    """Discrete step plus exact Jacobians of the step map.
+def _rk4_with_sensitivities(model: DynamicsModel, xs: np.ndarray,
+                            us: np.ndarray, dt: float):
+    """Discrete steps plus exact Jacobians of the step map at a (k, n) stack
+    of states under a (k, m) stack of held inputs.
 
     Chain rule through the four stages using the analytic drift Jacobian;
     the input enters affinely so the input sensitivity uses the stage
-    matrices directly.
+    matrices directly.  Each stage is one :meth:`DynamicsModel.eval_batch`
+    call over all k rows; the products are stacked matmuls, which make the
+    same per-slice BLAS calls as one row at a time.  Returns (k, n),
+    (k, n, n) and (k, n, m) arrays.
     """
-    n = model.state_dim
-    eye = np.eye(n)
+    eye = np.eye(model.state_dim)
+    u_col = us[:, None, :, None]
 
-    def f(xx):
-        return model.drift(xx) + model.input_matrix(xx) @ u
+    def stage(xx):
+        batch = model.eval_batch(xx)
+        # column i of the rate Jacobian gains d(input)/dx_i @ u
+        du = (batch.d_input @ u_col)[..., 0]
+        return batch.rate(us), batch.jac + du.swapaxes(1, 2), batch.input
 
-    def fx(xx):
-        jac = model.jac_drift(xx).copy()
-        d_b = model.d_input(xx)
-        for i in range(n):
-            jac[:, i] += d_b[i] @ u
-        return jac
-
-    k1 = f(x)
-    a1 = fx(x)
-    b1 = model.input_matrix(x)
-    x2 = x + 0.5 * dt * k1
-    k2 = f(x2)
-    a2_loc = fx(x2)
+    k1, a1, b1 = stage(xs)
+    x2 = xs + 0.5 * dt * k1
+    k2, a2_loc, b2_loc = stage(x2)
     a2 = a2_loc @ (eye + 0.5 * dt * a1)
-    b2 = model.input_matrix(x2) + 0.5 * dt * a2_loc @ b1
-    x3 = x + 0.5 * dt * k2
-    k3 = f(x3)
-    a3_loc = fx(x3)
+    b2 = b2_loc + 0.5 * dt * a2_loc @ b1
+    x3 = xs + 0.5 * dt * k2
+    k3, a3_loc, b3_loc = stage(x3)
     a3 = a3_loc @ (eye + 0.5 * dt * a2)
-    b3 = model.input_matrix(x3) + 0.5 * dt * a3_loc @ b2
-    x4 = x + dt * k3
-    k4 = f(x4)
-    a4_loc = fx(x4)
+    b3 = b3_loc + 0.5 * dt * a3_loc @ b2
+    x4 = xs + dt * k3
+    k4, a4_loc, b4_loc = stage(x4)
     a4 = a4_loc @ (eye + dt * a3)
-    b4 = model.input_matrix(x4) + dt * a4_loc @ b3
+    b4 = b4_loc + dt * a4_loc @ b3
 
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x_next = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     a_disc = eye + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     b_disc = (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
     return x_next, a_disc, b_disc
@@ -339,8 +334,9 @@ def _rk4_with_sensitivities(model: DynamicsModel, x: np.ndarray,
 def _terminal_weight(model: DynamicsModel, target: np.ndarray,
                      q: np.ndarray, r: np.ndarray, dt: float) -> np.ndarray:
     """Infinite-horizon Riccati weight of the linearization at the target."""
-    _, a, b = _rk4_with_sensitivities(model, target,
-                                      np.zeros(model.input_dim), dt)
+    _, a_seq, b_seq = _rk4_with_sensitivities(
+        model, target[None], np.zeros((1, model.input_dim)), dt)
+    a, b = a_seq[0], b_seq[0]
     p = q.copy()
     for _ in range(10000):
         btpb = r + b.T @ p @ b
@@ -396,13 +392,15 @@ def ilqr_plan(model: DynamicsModel, x0_star, target, t_final: float,
 
     xs, cost = rollout(us)
     reg = 1e-8
+    eye_m = np.eye(m)
     for _ in range(max_iter):
-        a_seq = np.zeros((steps, n, n))
-        b_seq = np.zeros((steps, n, m))
-        for k in range(steps):
-            _, a_seq[k], b_seq[k] = _rk4_with_sensitivities(model, xs[k],
-                                                            us[k], dt)
-        # backward pass
+        # every step linearizes about the fixed nominal: one batched call
+        _, a_seq, b_seq = _rk4_with_sensitivities(model, xs[:-1], us, dt)
+        # backward pass; the terms that do not depend on the value function
+        # are formed for all steps at once
+        qx_run = (q @ (xs[:-1] - target)[:, :, None])[:, :, 0]
+        qu_run = (r @ us[:, :, None])[:, :, 0]
+        reg_eye = reg * eye_m
         vx = qf @ (xs[-1] - target)
         vxx = qf.copy()
         k_ff = np.zeros((steps, m))
@@ -410,22 +408,22 @@ def ilqr_plan(model: DynamicsModel, x0_star, target, t_final: float,
         failed = False
         for k in reversed(range(steps)):
             a, b = a_seq[k], b_seq[k]
-            qx = q @ (xs[k] - target) + a.T @ vx
-            qu = r @ us[k] + b.T @ vx
+            bt_vxx = b.T @ vxx
+            qx = qx_run[k] + a.T @ vx
+            qu = qu_run[k] + b.T @ vx
             qxx = q + a.T @ vxx @ a
-            quu = r + b.T @ vxx @ b + reg * np.eye(m)
-            qux = b.T @ vxx @ a
+            quu = r + bt_vxx @ b + reg_eye
+            qux = bt_vxx @ a
             try:
                 quu_inv = np.linalg.inv(quu)
             except np.linalg.LinAlgError:
                 failed = True
                 break
-            k_ff[k] = -quu_inv @ qu
-            k_fb[k] = -quu_inv @ qux
-            vx = qx + k_fb[k].T @ quu @ k_ff[k] + k_fb[k].T @ qu \
-                + qux.T @ k_ff[k]
-            vxx = qxx + k_fb[k].T @ quu @ k_fb[k] + k_fb[k].T @ qux \
-                + qux.T @ k_fb[k]
+            kff = k_ff[k] = -quu_inv @ qu
+            kfb = k_fb[k] = -quu_inv @ qux
+            kfb_quu = kfb.T @ quu
+            vx = qx + kfb_quu @ kff + kfb.T @ qu + qux.T @ kff
+            vxx = qxx + kfb_quu @ kfb + kfb.T @ qux + qux.T @ kfb
             vxx = 0.5 * (vxx + vxx.T)
         if failed:
             reg = max(reg * 10.0, 1e-6)
@@ -439,9 +437,9 @@ def ilqr_plan(model: DynamicsModel, x0_star, target, t_final: float,
             u_try = np.zeros_like(us)
             x_try = np.zeros_like(xs)
             x_try[0] = x0_star
+            u_open = us + alpha * k_ff
             for k in range(steps):
-                u_try[k] = (us[k] + alpha * k_ff[k]
-                            + k_fb[k] @ (x_try[k] - xs[k]))
+                u_try[k] = u_open[k] + k_fb[k] @ (x_try[k] - xs[k])
                 x_try[k + 1] = rk4_step(
                     lambda tt, xx: model.nominal_rate(xx, u_try[k]),
                     0.0, x_try[k], dt)
@@ -540,9 +538,9 @@ def containment(traj: Trajectory, cert: TubeCertificate,
     in_safe = None
     tube_ok = None
     if safe_set is not None:
-        in_safe = np.array([safe_set.contains(x) for x in traj.states])
+        in_safe = safe_set.contains(traj.states)
         eroded = safe_set.erode(radius)
-        tube_ok = bool(all(eroded.contains(xs) for xs in traj.states_star))
+        tube_ok = bool(np.all(eroded.contains(traj.states_star)))
 
     return ContainmentReport(
         times=times, dist=dist, radius=radius, shrinking=shrink, kind=kind,

@@ -356,3 +356,64 @@ class TestCheckCcm:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "sampling" in capsys.readouterr().err
+
+
+class TestPlannerAndParseFailures:
+    @pytest.mark.parametrize("verb", ["simulate", "certify"])
+    def test_planner_failure_exits_2_without_traceback(self, verb, tmp_path,
+                                                       capsys, monkeypatch):
+        from ccml1 import cli
+        from ccml1.errors import PlannerFailure
+
+        def fail(*args, **kwargs):
+            raise PlannerFailure("no cost decrease at max regularization")
+
+        monkeypatch.setattr(cli, "ilqr_plan", fail)
+        rc = main([verb, "--builtin", "ex2", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("planner failed: no cost decrease at max "
+                       "regularization\n")
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _ex2_doc(**desired):
+        doc = builtin_scenario("ex2").doc
+        return dict(doc, desired=dict(doc["desired"], **desired))
+
+    def _run(self, doc, tmp_path, verb="simulate"):
+        path = _write(tmp_path, doc)
+        return main([verb, "--scenario", str(path),
+                     "--out", str(tmp_path / "out")])
+
+    def test_plan_without_dt_exits_1(self, tmp_path, capsys):
+        doc = self._ex2_doc()
+        del doc["desired"]["dt"]
+        assert self._run(doc, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "'dt'" in err
+
+    def test_non_numeric_start_exits_1(self, tmp_path, capsys):
+        assert self._run(self._ex2_doc(start="abc"), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "desired.start" in err
+
+    def test_unknown_desired_key_exits_1(self, tmp_path, capsys):
+        assert self._run(self._ex2_doc(t_finale=8.0), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "t_finale" in err
+
+    @pytest.mark.parametrize("verb", ["check-ccm", "certify", "simulate",
+                                      "sweep"])
+    def test_non_positive_definite_dual_exits_1(self, verb, tmp_path,
+                                                capsys):
+        doc = _inline_doc(
+            1, 1, [[{"powers": [1], "coeff": -1.0}]], [[1.0]], [[1.0]],
+            domain={"kind": "box", "center": [0.0], "half_widths": [2.0]})
+        doc["metric"]["dual"] = [[[{"powers": [0], "coeff": 1.0},
+                                   {"powers": [2], "coeff": -1.0}]]]
+        assert self._run(doc, tmp_path, verb) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: metric dual is not positive "
+                              "definite at x = ")
+        assert "Traceback" not in err

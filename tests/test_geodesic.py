@@ -134,6 +134,17 @@ class TestDomainHandling:
             solve_geodesic(ex1.metric, np.zeros(3),
                            np.array([0.2, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("p,q,named", [
+        ([0.2, 0.0, 0.0], [0.0, 0.3, 0.0], "0.2"),   # both out: p first
+        ([0.0, 0.0, 0.0], [0.0, 0.3, 0.0], "0.3"),
+        ([0.0, -0.4, 0.0], [0.0, 0.0, 0.0], "-0.4"),
+    ])
+    def test_outside_endpoint_is_named(self, ex1, p, q, named):
+        with pytest.raises(GeodesicDomainError, match=f"endpoint .*{named}"):
+            solve_geodesic(ex1.metric, np.array(p), np.array(q))
+        # the box boundary itself, up to the 1e-9 slack, is inside
+        solve_geodesic(ex1.metric, np.zeros(3), np.full(3, 0.05 + 5e-10))
+
     def test_enforcement_can_be_disabled(self, ex1):
         curve = solve_geodesic(ex1.metric, np.zeros(3),
                                np.array([0.06, 0.0, 0.0]),

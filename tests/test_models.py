@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ccml1.errors import DimensionMismatch
 from ccml1.models import (AssumptionBounds, DesiredTrajectory, DynamicsModel,
-                          SafeSet, builtin_example)
+                          SafeSet, builtin_example, row_dot)
 from ccml1.sim import rk4_step
 
 coord = st.floats(min_value=-2.0, max_value=2.0,
@@ -216,3 +216,143 @@ class TestDesiredTrajectory:
     def test_refine_requires_divisible_step(self, ex2, ex2_plan):
         with pytest.raises(ValueError):
             ex2_plan.refine(ex2.model, 0.003)
+
+
+# --- batched refine and membership ---------------------------------------------
+
+
+def _reference_refine(traj, model, dt):
+    """The per-segment loop that the segment-parallel refine replaced."""
+    per = int(round(traj.dt / dt))
+    n_seg = traj.states.shape[0] - 1
+    states = np.zeros((n_seg * per + 1, traj.states.shape[1]))
+    inputs = np.zeros((n_seg * per + 1, traj.inputs.shape[1]))
+    states[0] = traj.states[0]
+    row = 0
+    for k in range(n_seg):
+        u = traj.inputs[k]
+        x = traj.states[k].copy()
+        for _ in range(per):
+            k1 = model.nominal_rate(x, u)
+            k2 = model.nominal_rate(x + 0.5 * dt * k1, u)
+            k3 = model.nominal_rate(x + 0.5 * dt * k2, u)
+            k4 = model.nominal_rate(x + dt * k3, u)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            inputs[row] = u
+            row += 1
+            states[row] = x
+    inputs[row] = traj.inputs[-1]
+    return states, inputs
+
+
+def _inline_cubic_model():
+    """Inline polynomial plant: cubic drift, state-dependent input column."""
+    from ccml1.scenario import SCHEMA_VERSION, Scenario
+
+    def term(powers, coeff):
+        return {"powers": powers, "coeff": coeff}
+
+    doc = {
+        "version": SCHEMA_VERSION, "name": "cubic",
+        "model": {
+            "state_dim": 2, "input_dim": 1,
+            "drift": [[term([0, 1], 1.0), term([3, 0], -0.2)],
+                      [term([1, 0], -1.0), term([1, 2], 0.3)]],
+            "input_matrix": {"entries": [[[term([0, 1], 0.5)]],
+                                         [[term([0, 0], 1.0)]]]},
+        },
+        "metric": {"dual": [[[term([0, 0], 1.0)], []],
+                            [[], [term([0, 0], 1.0)]]],
+                   "rate": 0.1, "eig_floor": 0.9, "eig_ceil": 1.1},
+        "sim": {"dt": 0.01, "t_final": 1.0},
+    }
+    return Scenario.from_dict(doc).system().model
+
+
+class TestBatchedRefine:
+    def test_equals_the_per_segment_loop_on_ex2(self, ex2, ex2_plan,
+                                                ex2_plan_fine):
+        states, inputs = _reference_refine(ex2_plan, ex2.model, 1e-3)
+        assert np.array_equal(ex2_plan_fine.states, states)
+        assert np.array_equal(ex2_plan_fine.inputs, inputs)
+
+    def test_agrees_with_the_per_segment_loop_on_an_inline_model(self):
+        model = _inline_cubic_model()
+        rng = np.random.default_rng(5)
+        coarse = DesiredTrajectory(0.0, 0.05, rng.uniform(-1.0, 1.0, (41, 2)),
+                                   rng.uniform(-1.0, 1.0, (41, 1)))
+        fine = coarse.refine(model, 0.01)
+        states, inputs = _reference_refine(coarse, model, 0.01)
+        np.testing.assert_allclose(fine.states, states, rtol=0.0, atol=1e-12)
+        assert np.array_equal(fine.inputs, inputs)
+
+    def test_makes_no_per_state_rate_calls(self, ex2, ex2_plan, monkeypatch):
+        calls = []
+        rate = DynamicsModel.nominal_rate
+
+        def counted(self, x, u):
+            calls.append(1)
+            return rate(self, x, u)
+
+        monkeypatch.setattr(DynamicsModel, "nominal_rate", counted)
+        ex2_plan.refine(ex2.model, 1e-3)
+        assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_row_dot_carries_the_bits_of_the_per_row_products(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(3000, d)) * rng.uniform(0.1, 10.0, (3000, 1))
+    b = rng.normal(size=(3000, d))
+    assert np.array_equal(row_dot(a, b), [x @ y for x, y in zip(a, b)])
+    assert np.array_equal(np.sqrt(row_dot(a, a)),
+                          [np.linalg.norm(x) for x in a])
+    # broadcasting over a leading axis, as the clearance uses it
+    stack = a[:200].reshape(50, 4, d)
+    assert np.array_equal(row_dot(stack, b[:4]),
+                          [[x @ y for x, y in zip(row, b[:4])]
+                           for row in stack])
+
+
+def _reference_contains(region, x, margin):
+    """Membership of one state as it was computed before batching."""
+    if region.kind == "box":
+        return bool(np.all(np.abs(x - region.center)
+                           <= region.half_widths - margin))
+    return bool(np.linalg.norm(x - region.center) <= region.radius - margin)
+
+
+class TestBatchedContains:
+    @staticmethod
+    def _points(region, rng):
+        # interior, exterior, and points placed exactly on the boundary
+        inner = region.sample(200, rng, include_extremes=True)
+        outer = region.center + 3.0 * (inner - region.center)
+        return np.vstack([inner, outer, region.center + 0.0 * inner])
+
+    @pytest.mark.parametrize("margin", [0.0, 0.05, -1e-9])
+    def test_box_rows_equal_the_row_by_row_answers(self, margin):
+        box = SafeSet.box([0.5, -1.0, 0.0], [1.0, 0.5, 0.25])
+        pts = self._points(box, np.random.default_rng(6))
+        got = box.contains(pts, margin=margin)
+        want = np.array([_reference_contains(box, p, margin) for p in pts])
+        assert got.dtype == bool and got.shape == (len(pts),)
+        assert np.array_equal(got, want)
+        assert [box.contains(p, margin=margin) for p in pts] == list(want)
+        # the corners are exactly on the boundary, and inside
+        assert got[1:9].all() if margin <= 0.0 else not got[1:9].any()
+
+    @pytest.mark.parametrize("margin", [0.0, 0.05])
+    def test_ball_rows_equal_the_row_by_row_answers(self, margin):
+        ball = SafeSet.ball([0.3, -0.2], 1.5)
+        rng = np.random.default_rng(7)
+        pts = self._points(ball, rng)
+        # points on the sphere, including the axis poles
+        direc = rng.normal(size=(300, 2))
+        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        pts = np.vstack([pts, ball.center + 1.5 * direc])
+        got = ball.contains(pts, margin=margin)
+        want = np.array([_reference_contains(ball, p, margin) for p in pts])
+        assert [ball.contains(p, margin=margin) for p in pts] == list(want)
+        assert np.array_equal(got, want)
+        assert got.any() and not got.all()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,3 +348,182 @@ class TestObstacleGeometry:
         worst = tube_obstacle_clearance(ex2_plan.states, rho,
                                         scn.obstacles())
         assert 0.05 < worst < 0.09
+
+
+# --- array-wise clearance --------------------------------------------------------
+
+
+def _reference_point_polygon_distance(point, polygon):
+    """The per-point, per-edge loop the array version replaced."""
+    p = np.asarray(point, dtype=float)[:2]
+    verts = np.asarray(polygon, dtype=float)
+    k = verts.shape[0]
+    dmin = math.inf
+    inside = False
+    for i in range(k):
+        a, b = verts[i], verts[(i + 1) % k]
+        ab = b - a
+        tt = float(np.clip((p - a) @ ab / max(ab @ ab, 1e-300), 0.0, 1.0))
+        dmin = min(dmin, float(np.linalg.norm(p - (a + tt * ab))))
+        if ((a[1] > p[1]) != (b[1] > p[1])):
+            x_cross = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+            if p[0] < x_cross:
+                inside = not inside
+    return -dmin if inside else dmin
+
+
+def _reference_clearance(states_star, rho, obstacles):
+    worst = math.inf
+    for poly in obstacles:
+        for xs in states_star:
+            worst = min(worst, _reference_point_polygon_distance(xs, poly)
+                        - rho)
+    return worst
+
+
+class TestArrayClearance:
+    POLYGONS = [
+        # square and rectangle: horizontal edges
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        np.array([[0.2, -5.0], [1.6, -5.0], [1.6, -4.72], [0.2, -4.72]]),
+        # non-convex L with a notch, and a skew triangle
+        np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
+                  [1.0, 2.0], [0.0, 2.0]]),
+        np.array([[-1.0, 0.3], [0.7, -0.9], [0.4, 1.3]]),
+    ]
+
+    @classmethod
+    def _points(cls, poly, rng):
+        # vertices, edge midpoints and thirds, points level with vertices
+        # (rays through them), and random points around the polygon
+        nxt = np.roll(poly, -1, axis=0)
+        lo, hi = poly.min(axis=0) - 1.0, poly.max(axis=0) + 1.0
+        level = np.column_stack([rng.uniform(lo[0], hi[0], len(poly)),
+                                 poly[:, 1]])
+        return np.vstack([poly, 0.5 * (poly + nxt), poly + (nxt - poly) / 3.0,
+                          level, rng.uniform(lo, hi, (400, 2))])
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_each_point_equals_the_per_point_loop(self, index):
+        poly = self.POLYGONS[index]
+        pts = self._points(poly, np.random.default_rng(index))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")       # no RuntimeWarning either
+            got = [point_polygon_distance(p, poly) for p in pts]
+        want = [_reference_point_polygon_distance(p, poly) for p in pts]
+        assert got == want
+        assert min(got) < 0.0 < max(got)
+
+    def test_clearance_equals_the_per_point_loop(self):
+        rng = np.random.default_rng(9)
+        pts = np.vstack([self._points(poly, rng) for poly in self.POLYGONS])
+        for rho in (0.0, 0.3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = tube_obstacle_clearance(pts, rho, self.POLYGONS)
+            assert got == _reference_clearance(pts, rho, self.POLYGONS)
+            # a single obstacle far away from the points
+            far = [self.POLYGONS[0] + 50.0]
+            assert tube_obstacle_clearance(pts, rho, far) == \
+                _reference_clearance(pts, rho, far)
+
+    def test_shipped_plan_clearance_equals_the_per_point_loop(
+            self, ex2_plan_fine):
+        obstacles = builtin_scenario("ex2").obstacles()
+        assert tube_obstacle_clearance(ex2_plan_fine.states, 0.5, obstacles) \
+            == _reference_clearance(ex2_plan_fine.states, 0.5, obstacles)
+
+
+# --- strict desired and obstacles sections, metric definiteness ----------------
+
+
+class TestStrictPlannerInputs:
+    PLAN = {"kind": "plan", "start": [1.0, -1.0], "target": [0.0, 0.0],
+            "t_final": 1.0, "dt": 0.1}
+
+    def test_valid_sections_parse(self):
+        scn = Scenario.from_dict(_linear_doc(
+            desired=dict(self.PLAN),
+            obstacles=[{"polygon": [[0, 0], [1, 0], [1, 1]]}]))
+        assert scn.desired_spec()["kind"] == "plan"
+        np.testing.assert_array_equal(scn.obstacles()[0][2], [1.0, 1.0])
+
+    @pytest.mark.parametrize("desired,match", [
+        ({"kind": "constant", "state": [0.0, 0.0]}, "needs keys"),
+        ({"kind": "constant", "state": [0.0, 0.0], "input": [0.0],
+          "start": [0.0, 0.0]}, "unknown desired keys"),
+        ({"kind": "constant", "state": [0.0], "input": [0.0]}, "state_dim"),
+        ({"kind": "constant", "state": [0.0, 0.0], "input": [0.0, 1.0]},
+         "input_dim"),
+        ({"kind": "constant", "state": [0.0, float("inf")], "input": [0.0]},
+         "finite"),
+        ({"kind": "constant", "state": [0.0, True], "input": [0.0]},
+         "finite"),
+        ({"kind": "plan", "start": [1.0, -1.0], "target": [0.0, 0.0],
+          "t_final": 1.0}, "needs keys"),
+        ({"kind": "plan", "start": "abc", "target": [0.0, 0.0],
+          "t_final": 1.0, "dt": 0.1}, "desired.start"),
+        ({"kind": "plan", "start": [1.0, "-1"], "target": [0.0, 0.0],
+          "t_final": 1.0, "dt": 0.1}, "desired.start"),
+        ({"kind": "plan", "start": [1.0, -1.0], "target": [0.0, 0.0],
+          "t_finale": 1.0, "dt": 0.1}, "t_finale"),
+        ({"kind": "plan", "start": [1.0, -1.0], "target": [0.0, 0.0],
+          "t_final": 1.0, "dt": 0.0}, "desired.dt"),
+        ({"kind": "plan", "start": [1.0, -1.0], "target": [0.0, 0.0],
+          "t_final": float("nan"), "dt": 0.1}, "desired.t_final"),
+        ([1.0, 2.0], "object"),
+    ])
+    def test_bad_desired_rejected_at_parse(self, desired, match):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict(_linear_doc(desired=desired))
+
+    @pytest.mark.parametrize("obstacles,match", [
+        ({"polygon": [[0, 0], [1, 0], [1, 1]]}, "list"),
+        ([[[0, 0], [1, 0], [1, 1]]], "only a 'polygon'"),
+        ([{"polygon": [[0, 0], [1, 0], [1, 1]], "name": "rock"}],
+         "only a 'polygon'"),
+        ([{"polygon": [[0, 0], [1, 0]]}], "three"),
+        ([{"polygon": [[0, 0], [1, 0], [1, 1, 1]]}], "vertex"),
+        ([{"polygon": [[0, 0], [1, 0], ["a", 1]]}], "vertex"),
+        ([{"polygon": "square"}], "three"),
+    ])
+    def test_bad_obstacles_rejected_at_parse(self, obstacles, match):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict(_linear_doc(obstacles=obstacles))
+
+    def test_desired_is_optional_until_used(self):
+        doc = _linear_doc()
+        del doc["desired"]
+        scn = Scenario.from_dict(doc)
+        with pytest.raises(ScenarioError, match="desired"):
+            scn.desired_spec()
+
+
+class TestMetricDefiniteness:
+    @staticmethod
+    def _doc(dual_terms, eig=(0.1, 10.0)):
+        return {
+            "version": SCHEMA_VERSION, "name": "scalar",
+            "model": {"state_dim": 1, "input_dim": 1,
+                      "drift": [[{"powers": [1], "coeff": -1.0}]],
+                      "input_matrix": {"constant": [[1.0]]}},
+            "metric": {"dual": [[dual_terms]], "rate": 0.5,
+                       "eig_floor": eig[0], "eig_ceil": eig[1],
+                       "domain": {"kind": "box", "center": [0.0],
+                                  "half_widths": [2.0]}},
+            "sim": {"dt": 0.01, "t_final": 1.0},
+        }
+
+    def test_non_positive_definite_dual_names_the_point(self):
+        # 1 - x^2 is negative on most of the box of half-width 2
+        doc = self._doc([{"powers": [0], "coeff": 1.0},
+                         {"powers": [2], "coeff": -1.0}])
+        with pytest.raises(ScenarioError, match=r"positive definite at x = "
+                                                r"\[-?2\.0\]"):
+            Scenario.from_dict(doc)
+
+    def test_declared_envelope_violation_is_a_scenario_error(self):
+        # dual 2 is the metric 0.5, outside the declared [0.9, 1.1]
+        doc = self._doc([{"powers": [0], "coeff": 2.0}], eig=(0.9, 1.1))
+        with pytest.raises(ScenarioError, match="envelope"):
+            Scenario.from_dict(doc)

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from ccml1 import sim as sim_module
 from ccml1.certification import TubeCertificate
-from ccml1.errors import DivergenceError
+from ccml1.errors import DivergenceError, PlannerFailure
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import DesiredTrajectory, DynamicsModel, SafeSet
-from ccml1.sim import (SimConfig, Trajectory, containment, ilqr_plan,
-                       integrate_closed_loop, integrate_nominal_ccm,
-                       integrate_reference, rk4_step)
+from ccml1.scenario import SCHEMA_VERSION, Scenario
+from ccml1.sim import (SimConfig, Trajectory, _rk4_with_sensitivities,
+                       containment, ilqr_plan, integrate_closed_loop,
+                       integrate_nominal_ccm, integrate_reference, rk4_step)
 
 
 def test_rk4_fourth_order_on_scalar_exponential():
@@ -260,3 +262,173 @@ class TestContainment:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             containment(_toy_traj([0.1]), _toy_cert(), kind="bogus")
+
+
+# --- batched planner path ------------------------------------------------------
+
+
+def _reference_rk4_with_sensitivities(model, x, u, dt):
+    """The per-point linearization the batched one replaced, kept as the
+    reference it must reproduce."""
+    n = model.state_dim
+    eye = np.eye(n)
+
+    def f(xx):
+        return model.drift(xx) + model.input_matrix(xx) @ u
+
+    def fx(xx):
+        jac = model.jac_drift(xx).copy()
+        d_b = model.d_input(xx)
+        for i in range(n):
+            jac[:, i] += d_b[i] @ u
+        return jac
+
+    k1 = f(x)
+    a1 = fx(x)
+    b1 = model.input_matrix(x)
+    x2 = x + 0.5 * dt * k1
+    k2 = f(x2)
+    a2_loc = fx(x2)
+    a2 = a2_loc @ (eye + 0.5 * dt * a1)
+    b2 = model.input_matrix(x2) + 0.5 * dt * a2_loc @ b1
+    x3 = x + 0.5 * dt * k2
+    k3 = f(x3)
+    a3_loc = fx(x3)
+    a3 = a3_loc @ (eye + 0.5 * dt * a2)
+    b3 = model.input_matrix(x3) + 0.5 * dt * a3_loc @ b2
+    x4 = x + dt * k3
+    k4 = f(x4)
+    a4_loc = fx(x4)
+    a4 = a4_loc @ (eye + dt * a3)
+    b4 = model.input_matrix(x4) + dt * a4_loc @ b3
+
+    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    a_disc = eye + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    b_disc = (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    return x_next, a_disc, b_disc
+
+
+def _serial_sensitivities(model, xs, us, dt):
+    rows = [_reference_rk4_with_sensitivities(model, x, u, dt)
+            for x, u in zip(xs, us)]
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+def _inline_two_input_model():
+    """Inline polynomial plant with a state-dependent 2x2 input matrix."""
+    def term(powers, coeff):
+        return {"powers": powers, "coeff": coeff}
+
+    doc = {
+        "version": SCHEMA_VERSION, "name": "two-input",
+        "model": {
+            "state_dim": 2, "input_dim": 2,
+            "drift": [[term([0, 1], 1.0), term([2, 1], 0.3)],
+                      [term([1, 0], -1.0), term([0, 1], -1.0),
+                       term([0, 3], -0.1)]],
+            "input_matrix": {"entries": [
+                [[term([0, 0], 1.0), term([0, 1], 0.2)], [term([1, 0], 0.5)]],
+                [[term([1, 1], 0.1)], [term([0, 0], 1.0)]]]},
+        },
+        "metric": {"dual": [[[term([0, 0], 1.0)], []],
+                            [[], [term([0, 0], 1.0)]]],
+                   "rate": 0.1, "eig_floor": 0.9, "eig_ceil": 1.1},
+        "sim": {"dt": 0.01, "t_final": 1.0},
+    }
+    return Scenario.from_dict(doc).system().model
+
+
+def _black_box(model):
+    """The same plant given only by its drift and input matrix callables."""
+    return DynamicsModel(model.state_dim, model.input_dim, model.drift,
+                         model.input_matrix)
+
+
+def _stacks(model, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-scale, scale, (k, model.state_dim)),
+            rng.uniform(-3.0, 3.0, (k, model.input_dim)))
+
+
+class TestBatchedLinearization:
+    @pytest.mark.parametrize("name,scale", [("ex1", 0.1), ("ex2", 5.0)])
+    def test_builtins_equal_the_serial_steps(self, name, scale, request):
+        model = request.getfixturevalue(name).model
+        xs, us = _stacks(model, 400, scale, 11)
+        got = _rk4_with_sensitivities(model, xs, us, 0.01)
+        want = _serial_sensitivities(model, xs, us, 0.01)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("plant", ["ex2", "two-input"])
+    def test_row_loop_fallback_equals_the_serial_steps(self, plant, ex2):
+        model = _black_box(ex2.model if plant == "ex2"
+                           else _inline_two_input_model())
+        assert model.vectorized is None
+        xs, us = _stacks(model, 60, 2.0, 12)
+        got = _rk4_with_sensitivities(model, xs, us, 0.01)
+        want = _serial_sensitivities(model, xs, us, 0.01)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_inline_two_input_model_agrees(self):
+        # the stacked polynomials are not bit-equal to the callables
+        model = _inline_two_input_model()
+        assert model.vectorized is not None
+        xs, us = _stacks(model, 200, 2.0, 13)
+        got = _rk4_with_sensitivities(model, xs, us, 0.01)
+        want = _serial_sensitivities(model, xs, us, 0.01)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14)
+
+    def test_plan_equals_a_serially_linearized_plan(self, ex2, ex2_plan,
+                                                    monkeypatch):
+        monkeypatch.setattr(sim_module, "_rk4_with_sensitivities",
+                            _serial_sensitivities)
+        serial = ilqr_plan(ex2.model, np.array([3.4, -2.4]), np.zeros(2),
+                           t_final=8.0, dt=0.01)
+        assert np.array_equal(serial.states, ex2_plan.states)
+        assert np.array_equal(serial.inputs, ex2_plan.inputs)
+
+    def test_inline_plan_agrees_with_a_serially_linearized_plan(
+            self, monkeypatch):
+        model = _inline_two_input_model()
+        kw = dict(t_final=2.0, dt=0.02)
+        batched = ilqr_plan(model, np.array([1.0, -0.5]), np.zeros(2), **kw)
+        monkeypatch.setattr(sim_module, "_rk4_with_sensitivities",
+                            _serial_sensitivities)
+        serial = ilqr_plan(model, np.array([1.0, -0.5]), np.zeros(2), **kw)
+        np.testing.assert_allclose(batched.states, serial.states,
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(batched.inputs, serial.inputs,
+                                   rtol=0.0, atol=1e-10)
+
+    def test_each_iteration_linearizes_in_four_batched_calls(self, ex2):
+        # guards the planner against going back to per-step linearization
+        calls = {"eval_batch": [], "jac_drift": 0, "d_input": 0}
+        base = ex2.model
+
+        def vectorized(xs):
+            calls["eval_batch"].append(xs.shape[0])
+            return base.vectorized(xs)
+
+        def counted(name):
+            def fn(x):
+                calls[name] += 1
+                return getattr(base, name)(x)
+            return fn
+
+        model = dataclasses.replace(base, vectorized=vectorized,
+                                    jac_drift=counted("jac_drift"),
+                                    d_input=counted("d_input"))
+        for iters in (1, 2):
+            calls["eval_batch"].clear()
+            try:
+                ilqr_plan(model, np.array([3.4, -2.4]), np.zeros(2),
+                          t_final=8.0, dt=0.01, terminal_weight=np.eye(2),
+                          max_iter=iters)
+            except PlannerFailure:
+                pass              # not converged after so few iterations
+            assert calls["eval_batch"] == [800] * (4 * iters)
+        assert calls["jac_drift"] == 0 and calls["d_input"] == 0
