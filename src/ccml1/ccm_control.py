@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleCertificate
-from .geodesic import GeodesicCurve, GeodesicSolver
+from .geodesic import GeodesicCurve
 from .metric import MetricField
 from .models import DynamicsModel
 
@@ -36,33 +35,9 @@ class CcmFeedbackResult:
     energy: float
 
 
-class CcmController:
-    """Stateful wrapper holding the geodesic solver and warm-start curve."""
-
-    def __init__(self, model: DynamicsModel, field: MetricField,
-                 n_intervals: int = 8, tol: float = 1e-8,
-                 max_iter: int = 60, enforce_domain: bool = True):
-        self.model = model
-        self.field = field
-        self.solver = GeodesicSolver(field, n_intervals=n_intervals, tol=tol,
-                                     max_iter=max_iter,
-                                     enforce_domain=enforce_domain)
-        self._warm: GeodesicCurve | None = None
-
-    def reset(self) -> None:
-        self._warm = None
-
-    def feedback(self, x_desired, u_desired, x) -> CcmFeedbackResult:
-        curve = self.solver.solve(x_desired, x, warm=self._warm)
-        self._warm = curve
-        result = feedback_gain(self.model, self.field, curve,
-                               np.asarray(u_desired, dtype=float))
-        return result
-
-
 def feedback_gain(model: DynamicsModel, field: MetricField,
-                  curve: GeodesicCurve, u_desired: np.ndarray,
-                  raise_on_infeasible: bool = False) -> CcmFeedbackResult:
+                  curve: GeodesicCurve, u_desired: np.ndarray
+                  ) -> CcmFeedbackResult:
     """Closed-form min-norm feedback for one geodesic.
 
     The curve must run from the desired state (s=0) to the actual state
@@ -89,20 +64,13 @@ def feedback_gain(model: DynamicsModel, field: MetricField,
          - 2.0 * float(v_end @ (m_x @ rate_act))
          + 2.0 * float(v_start @ (m_des @ rate_des)))
 
-    if b >= 0.0:
-        return CcmFeedbackResult(gain=np.zeros(model.input_dim),
-                                 constraint_slack=b, active=False,
-                                 infeasible=False, geodesic=curve,
-                                 energy=curve.energy)
-
+    # no correction when the unforced decay suffices (b >= 0) or when no
+    # input reaches the constraint (a degenerate normal: infeasible)
     a_sq = float(a @ a)
-    if a_sq < _FEASIBILITY_FLOOR ** 2:
-        if raise_on_infeasible:
-            raise InfeasibleCertificate(
-                "feedback constraint normal degenerated", binding=b)
+    if b >= 0.0 or a_sq < _FEASIBILITY_FLOOR ** 2:
         return CcmFeedbackResult(gain=np.zeros(model.input_dim),
                                  constraint_slack=b, active=False,
-                                 infeasible=True, geodesic=curve,
+                                 infeasible=b < 0.0, geodesic=curve,
                                  energy=curve.energy)
 
     gain = (b / a_sq) * a

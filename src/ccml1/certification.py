@@ -321,9 +321,7 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
     prov["feedback_per_dist"] = "sampled"
 
     # --- rate bounds (filter norms: passband 1, complement 2, derivative 2w) --
-    ref_rate_sup = drift_sup + input_sup * (
-        2.0 * unc_sup + desired_input_sup + rho * feedback_per_dist)
-    rate_sup = drift_sup + input_sup * (
+    rate_sup = ref_rate_sup = drift_sup + input_sup * (
         2.0 * unc_sup + desired_input_sup + rho * feedback_per_dist)
     prov["ref_rate_sup"] = prov["rate_sup"] = "closed-form"
 
@@ -466,6 +464,17 @@ def initial_energy(field: MetricField, x0, x0_star) -> float:
                         np.asarray(x0, dtype=float)).energy
 
 
+def tube_radii(alpha_lo: float, alpha_hi: float, eps: float, rho_a: float,
+               x0, x0_star) -> tuple[float, float]:
+    """Reference and full tube radii for a metric envelope [alpha_lo,
+    alpha_hi]: ``rho_r = sqrt(alpha_hi/alpha_lo) |x0 - x0*| + eps`` and
+    ``rho = rho_r + rho_a``."""
+    gap = float(np.linalg.norm(np.asarray(x0_star, dtype=float)
+                               - np.asarray(x0, dtype=float)))
+    rho_r = math.sqrt(alpha_hi / alpha_lo) * gap + eps
+    return rho_r, rho_r + rho_a
+
+
 def check_conditions(field: MetricField, d: DeltaConstants, omega: float,
                      gamma: float, eps: float, rho_a: float,
                      x0, x0_star, energy0: float | None = None
@@ -480,11 +489,7 @@ def check_conditions(field: MetricField, d: DeltaConstants, omega: float,
     """
     if eps <= 0.0 or rho_a <= 0.0:
         raise ValueError("tube slack parameters must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    x0_star = np.asarray(x0_star, dtype=float)
-    gap = float(np.linalg.norm(x0_star - x0))
-    rho_r = math.sqrt(d.alpha_hi / d.alpha_lo) * gap + eps
-    rho = rho_r + rho_a
+    rho_r, rho = tube_radii(d.alpha_lo, d.alpha_hi, eps, rho_a, x0, x0_star)
 
     if energy0 is None:
         energy0 = initial_energy(field, x0, x0_star)
@@ -566,9 +571,3 @@ def search_params(field: MetricField, d: DeltaConstants, eps: float,
             best_shortfall, best_binding = shortfall, name
     return SearchResult(feasible=False, binding=best_binding)
 
-
-def ultimate_bounds(cert: TubeCertificate, horizon: float
-                    ) -> tuple[float, float]:
-    """Transient radius and total radius after the given elapsed time."""
-    mu = cert.mu(horizon)
-    return mu, mu + cert.rho_a

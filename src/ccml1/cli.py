@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .certification import (TubeSampling, check_conditions, estimate_deltas,
-                            search_params)
+                            search_params, tube_radii)
 from .errors import (CcmL1Error, DivergenceError, InfeasibleCertificate,
                      PlannerFailure, ScenarioError)
 from .metric import ccm_check
@@ -136,18 +136,13 @@ def _assemble(scn: Scenario):
     return sysb, cfg, traj_star, x0
 
 
-def _radii(field, eps: float, rho_a: float, x0, x0_star):
-    ratio = math.sqrt(field.eig_ceil / field.eig_floor)
-    rho_r = ratio * float(np.linalg.norm(x0 - x0_star)) + eps
-    return rho_r, rho_r + rho_a
-
-
 def _certificate_pipeline(scn: Scenario, sysb, cfg, traj_star, x0):
     """Deltas plus certificate; resolves 'auto' tuning via the search."""
     field, model = sysb.metric, sysb.model
     eps, rho_a = scn.tube_params()
     x0_star = traj_star.states[0]
-    _, rho = _radii(field, eps, rho_a, x0, x0_star)
+    _, rho = tube_radii(field.eig_floor, field.eig_ceil, eps, rho_a, x0,
+                        x0_star)
     sampling = TubeSampling(seed=cfg.seed)
     l1_for_sampling = scn.make_l1_config(
         model, omega=1.0, gamma=1.0,
@@ -260,31 +255,27 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
     if not args.no_l1:
         l1cfg = scn.make_l1_config(model, cert.omega, cert.gamma, unc_bound)
 
-    diverged = None
-    closed = ref = nom = None
-    try:
-        closed = integrate_closed_loop(model, field, l1cfg, traj_star,
-                                       x0, cfg)
-        ref = integrate_reference(model, field, cert.omega, traj_star,
-                                  x0, cfg)
-        nom = integrate_nominal_ccm(model, field, traj_star, x0, cfg)
-    except DivergenceError as exc:
-        diverged = str(exc)
-        if closed is None:
-            closed = exc.partial
-        elif ref is None:
-            ref = exc.partial
-        else:
-            nom = exc.partial
+    def run(loop, *loop_args):
+        """One loop on its own: its trajectory (partial when it diverged)
+        and the divergence message, so one loop's divergence leaves the
+        others' outputs whole."""
+        try:
+            return loop(model, field, *loop_args), None
+        except DivergenceError as exc:
+            return exc.partial, str(exc)
+
+    loops = {"closed_loop": ("actual", *run(integrate_closed_loop, l1cfg,
+                                            traj_star, x0, cfg)),
+             "reference": ("reference", *run(integrate_reference, cert.omega,
+                                             traj_star, x0, cfg)),
+             "nominal": ("actual", *run(integrate_nominal_ccm, traj_star,
+                                        x0, cfg))}
+    diverged = next((msg for _, _, msg in loops.values() if msg), None)
 
     report: dict = {"scenario": scn.name, "diverged": diverged,
                     "l1_enabled": not args.no_l1,
                     "certificate_valid": bool(cert.valid)}
-    for name, traj, kind in (("closed_loop", closed, "actual"),
-                             ("reference", ref, "reference"),
-                             ("nominal", nom, "actual")):
-        if traj is None:
-            continue
+    for name, (kind, traj, msg) in loops.items():
         _traj_csv(out / f"{name}.csv", traj, cert)
         rep = containment(traj, cert, kind=kind, safe_set=sysb.safe_set)
         report[name] = rep.as_dict()
@@ -293,6 +284,8 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
             np.max(np.linalg.norm(traj.sigma_hat, axis=1)))
         if traj.warnings:
             report[name]["warnings"] = list(traj.warnings)
+        if msg is not None:
+            report[name]["diverged"] = msg
 
     obstacles = scn.obstacles()
     if obstacles and model.state_dim == 2:
@@ -301,30 +294,24 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
 
     _write_json(out / "containment.json", report)
 
-    if closed is not None:
-        times = closed.times
-        header = ["t", "dist_closed", "dist_reference", "dist_nominal",
-                  "rho", "rho_r", "delta_t", "mu"]
-        d_ref = ref.dist if ref is not None else None
-        d_nom = nom.dist if nom is not None else None
+    header = ["t", "dist_closed", "dist_reference", "dist_nominal",
+              "rho", "rho_r", "delta_t", "mu"]
+    d_cl, d_ref, d_nom = (traj.dist for _, traj, _ in loops.values())
 
-        def rows():
-            d_cl = closed.dist
-            for k, t in enumerate(times):
-                yield [t, d_cl[k],
-                       d_ref[k] if d_ref is not None and k < len(d_ref)
-                       else math.nan,
-                       d_nom[k] if d_nom is not None and k < len(d_nom)
-                       else math.nan,
-                       cert.rho, cert.rho_r,
-                       cert.delta_t(float(t)), cert.mu(float(t))]
+    def rows():
+        for k, t in enumerate(loops["closed_loop"][1].times):
+            yield [t, d_cl[k],
+                   d_ref[k] if k < len(d_ref) else math.nan,
+                   d_nom[k] if k < len(d_nom) else math.nan,
+                   cert.rho, cert.rho_r,
+                   cert.delta_t(float(t)), cert.mu(float(t))]
 
-        _write_csv(out / "plot_bounds.csv", header, rows())
+    _write_csv(out / "plot_bounds.csv", header, rows())
 
     if diverged is not None:
         print(f"simulation diverged: {diverged}", file=sys.stderr)
         return EXIT_DIVERGED
-    sup = float(np.max(closed.dist))
+    sup = float(np.max(d_cl))
     print(f"simulate done: sup tracking error {sup:.6g} "
           f"(tube radius {cert.rho:.6g}, "
           f"contained={report['closed_loop']['contained']})")
@@ -368,7 +355,8 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
                                                       epss, rho_as):
         row = [omega, gamma, eps, rho_a]
         try:
-            _, rho = _radii(field, eps, rho_a, x0, x0_star)
+            _, rho = tube_radii(field.eig_floor, field.eig_ceil, eps,
+                                rho_a, x0, x0_star)
             if rho not in delta_cache:
                 delta_cache[rho] = estimate_deltas(
                     model, field, sysb.bounds, rho, traj_star,

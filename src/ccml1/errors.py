@@ -9,10 +9,6 @@ class DimensionMismatch(CcmL1Error):
     """An evaluation received vectors/matrices of inconsistent shape."""
 
 
-class NumericFault(CcmL1Error):
-    """A numerical evaluation produced non-finite values."""
-
-
 class MetricDomainError(CcmL1Error):
     """The metric is not positive definite (or not valid) at the queried state."""
 

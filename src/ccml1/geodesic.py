@@ -67,7 +67,6 @@ class GeodesicCurve:
     iterations: int
     grad_norm: float
     converged: bool
-    degraded: bool = False
     exceeds_upper_bound: bool = False
 
     def endpoint_velocity(self, end: str) -> np.ndarray:
@@ -221,18 +220,8 @@ class GeodesicSolver:
         converged = gnorm <= self.tol * (1.0 + e)
         curve = GeodesicCurve(
             self.s_nodes.copy(), states, v, m, e, iters, gnorm,
-            converged=converged, degraded=not converged)
+            converged=converged)
         curve.exceeds_upper_bound = bool(
             e > self.field.eig_ceil * gap * gap * 1.01)
         return curve
 
-
-def solve_geodesic(field: MetricField, p, q,
-                   warm: GeodesicCurve | None = None,
-                   n_intervals: int = 8, tol: float = 1e-8,
-                   max_iter: int = 60,
-                   enforce_domain: bool = True) -> GeodesicCurve:
-    """One-shot convenience wrapper around :class:`GeodesicSolver`."""
-    solver = GeodesicSolver(field, n_intervals=n_intervals, tol=tol,
-                            max_iter=max_iter, enforce_domain=enforce_domain)
-    return solver.solve(p, q, warm=warm)

@@ -206,14 +206,7 @@ class MetricField:
                    eig_floor=float(eig_floor), eig_ceil=float(eig_ceil),
                    dual_poly=poly, domain=domain)
 
-    @classmethod
-    def identity(cls, dim: int, contraction_rate: float = 1.0) -> "MetricField":
-        return cls.constant_dual(np.eye(dim), contraction_rate)
-
     # -- evaluation ---------------------------------------------------------
-
-    def dual(self, x) -> np.ndarray:
-        return self.dual_poly(x)
 
     def metric(self, x) -> np.ndarray:
         return self.metric_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -227,10 +220,6 @@ class MetricField:
         duals = self.dual_poly.eval_batch(xs)
         _require_pd(duals, xs)
         return _inv_batch(duals)
-
-    def partials(self, x) -> np.ndarray:
-        """Partials of the metric via d(inv) = -inv d(dual) inv, shape (dim, n, n)."""
-        return self.metric_and_partials_batch(np.asarray(x, dtype=float)[None, :])[1][0]
 
     def metric_and_partials_batch(self, xs: np.ndarray, check_pd=True):
         """(k, n, n) metric and (k, dim, n, n) metric partials; ``check_pd``
@@ -284,11 +273,6 @@ class MetricField:
             raise MetricValidationError(
                 f"sampled metric eigenvalues [{lo:.6g}, {hi:.6g}] violate the "
                 f"declared envelope [{self.eig_floor:.6g}, {self.eig_ceil:.6g}]")
-
-    @property
-    def overshoot(self) -> float:
-        """Eigenvalue-ratio overshoot factor eig_ceil/eig_floor."""
-        return self.eig_ceil / self.eig_floor
 
 
 def _require_pd(duals: np.ndarray, xs: np.ndarray) -> None:

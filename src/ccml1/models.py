@@ -336,27 +336,6 @@ class DesiredTrajectory:
     def sup_input_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.inputs, axis=1)))
 
-    def consistency_residual(self, model: DynamicsModel) -> float:
-        """Worst normalized defect of the sampled pair against nominal dynamics.
-
-        Compares per-segment finite differences of the states with the nominal
-        rate at the segment's state midpoint under the segment's held input
-        (planner segments are zero-order hold).  Normalized by (1 + |rate|),
-        so a consistent integrator's output scores O(dt^2) while a mismatched
-        state-input pairing scores O(1).
-        """
-        worst = 0.0
-        for k in range(self.states.shape[0] - 1):
-            mid_x = 0.5 * (self.states[k] + self.states[k + 1])
-            rate = model.nominal_rate(mid_x, self.inputs[k])
-            fd = (self.states[k + 1] - self.states[k]) / self.dt
-            worst = max(worst, float(np.linalg.norm(fd - rate)
-                                     / (1.0 + np.linalg.norm(rate))))
-        return worst
-
-    def is_consistent(self, model: DynamicsModel, tol_scale: float = 25.0) -> bool:
-        return self.consistency_residual(model) <= 1e-9 + tol_scale * self.dt ** 2
-
     def refine(self, model: DynamicsModel, dt: float) -> "DesiredTrajectory":
         """Densify to a finer grid by re-integrating the trajectory's own flow.
 

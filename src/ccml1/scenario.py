@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class Scenario:
     """Parsed scenario plus lazily built runtime objects."""
 
     doc: dict
+    _system: BuiltinSystem | None = dc_field(default=None, init=False,
+                                             repr=False, compare=False)
 
     # -- parsing -------------------------------------------------------------
 
@@ -122,6 +124,12 @@ class Scenario:
     # -- model/metric ----------------------------------------------------------
 
     def system(self) -> BuiltinSystem:
+        """The plant, metric and bounds, built once per instance."""
+        if self._system is None:
+            self._system = self._build_system()
+        return self._system
+
+    def _build_system(self) -> BuiltinSystem:
         model_doc = self.doc["model"]
         _require(isinstance(model_doc, dict), "'model' must be an object")
         if "builtin" in model_doc:

@@ -1,14 +1,19 @@
 """Closed-loop integration, trajectory planning, and tube-containment checks.
 
-Three loops share one integration core:
+One step loop integrates the three systems the tube guarantee compares.
+They differ only in what the adaptive channel applies and in whether the
+true uncertainty acts on the plant:
 
 * the adaptive closed loop (contraction feedback plus the adaptive
-  augmentation, true uncertainty acting on the plant),
+  augmentation, true uncertainty acting on the plant); without the
+  augmentation it is the feedback-only ablation,
 * the reference loop (same feedback, but the adaptive channel applies the
   low-pass-filtered *true* uncertainty — the non-implementable ideal the
   certificates compare against),
 * the nominal loop (contraction feedback only, uncertainty ignored), used
   for the exponential-decay checks.
+
+The public ``integrate_*`` functions are thin entry points into that loop.
 
 Discretization: one fixed step for everything.  The feedback and the
 adaptive command are held over the step (zero-order hold), the plant and
@@ -29,7 +34,8 @@ from .ccm_control import feedback_gain
 from .certification import TubeCertificate
 from .errors import DivergenceError, PlannerFailure
 from .geodesic import GeodesicSolver
-from .l1_control import L1Config, L1State, adaptation_step, filter_step
+from .l1_control import (L1Config, L1State, adaptation_step, filter_step,
+                         predictor_rate)
 from .metric import MetricField
 from .models import DesiredTrajectory, DynamicsModel, SafeSet
 
@@ -104,10 +110,107 @@ def _alloc(n_steps: int, n: int, m: int):
 
 
 def _check_alive(x: np.ndarray, limit: float, rec: dict, step: int):
-    if np.all(np.isfinite(x)) and np.linalg.norm(x) <= limit:
+    # numpy's 1-D 2-norm is sqrt(x @ x), so for any finite limit this
+    # accepts exactly what `isfinite(x).all() and norm(x) <= limit` accepts
+    s = float(x @ x)
+    if math.isfinite(s) and math.sqrt(s) <= limit:
         return
     partial = Trajectory(**{k: v[:step + 1] for k, v in rec.items()})
     raise DivergenceError(f"state diverged at step {step}", partial=partial)
+
+
+def _no_uncertainty(t, x):
+    return 0.0
+
+
+def _integrate(model: DynamicsModel, field: MetricField,
+               traj_star: DesiredTrajectory, x0, cfg: SimConfig,
+               l1: L1Config | None = None, bandwidth: float | None = None,
+               uncertain: bool = True) -> Trajectory:
+    """The one step loop.  The adaptive channel applies the L1 filter output
+    (``l1``), the true uncertainty through the ideal first-order low-pass of
+    the given ``bandwidth`` (the reference system), or nothing; ``uncertain``
+    says whether the true uncertainty acts on the plant.  Without ``l1`` only
+    the n plant states are integrated, and ``x_hat`` records the state."""
+    x = np.asarray(x0, dtype=float).copy()
+    n, m = model.state_dim, model.input_dim
+    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
+                            tol=cfg.geodesic_tol,
+                            enforce_domain=cfg.enforce_domain)
+    rec = _alloc(cfg.n_steps, n, m)
+    warnings: list[str] = []
+    h = model.uncertainty or _no_uncertainty
+    st = L1State.start(x, m)
+    if bandwidth is not None:
+        decay = math.exp(-bandwidth * cfg.dt)
+        eta = np.zeros(m)    # low-pass state driven by the true uncertainty
+        st.u_adaptive = -eta
+    augmented = l1 is not None or bandwidth is not None
+    curve = None
+
+    for step in range(cfg.n_steps + 1):
+        t = step * cfg.dt
+        xs = traj_star.state(t)
+        us = traj_star.input(t)
+        curve = solver.solve(xs, x, warm=curve)
+        if not curve.converged:
+            warnings.append(f"step {step}: geodesic not converged "
+                            f"(grad {curve.grad_norm:.2e})")
+        fb = feedback_gain(model, field, curve, us)
+        if fb.infeasible:
+            warnings.append(f"step {step}: feedback constraint degenerated")
+        u_c = us + fb.gain
+        u_a = st.u_adaptive.copy()
+
+        rec["times"][step] = t
+        rec["states"][step] = x
+        rec["states_star"][step] = xs
+        rec["u_feedback"][step] = u_c
+        rec["u_adaptive"][step] = u_a
+        rec["sigma_hat"][step] = st.sigma_hat
+        rec["x_hat"][step] = st.x_hat
+        if l1 is not None:
+            rec["xtilde_norm"][step] = np.linalg.norm(st.prediction_error(x))
+        rec["energy"][step] = curve.energy
+        if step == cfg.n_steps:
+            break
+
+        # the unaugmented loops add no zero vector: -0.0 + 0.0 is +0.0
+        u_held = u_c + u_a if augmented else u_c
+
+        def plant_rate(tt, xx, drift, b_mat):
+            return drift + b_mat @ (u_held + h(tt, xx) if uncertain
+                                    else u_held)
+
+        if l1 is None:
+            x = rk4_step(lambda tt, xx: plant_rate(
+                tt, xx, model.drift(xx), model.input_matrix(xx)),
+                t, x, cfg.dt)
+            st.x_hat = x
+        else:
+            sigma_held = st.sigma_hat.copy()
+
+            def joint_rate(tt, z):
+                xx, xh = z[:n], z[n:]
+                drift, b_mat = model.drift(xx), model.input_matrix(xx)
+                return np.concatenate([
+                    plant_rate(tt, xx, drift, b_mat),
+                    predictor_rate(l1, drift, b_mat, u_held, sigma_held, xh,
+                                   xx)])
+
+            z = rk4_step(joint_rate, t, np.concatenate([x, st.x_hat]),
+                         cfg.dt)
+            x, st.x_hat = z[:n].copy(), z[n:].copy()
+        _check_alive(x, cfg.divergence_limit, rec, step)
+
+        if l1 is not None:
+            adaptation_step(l1, st, x, model.input_matrix(x), cfg.dt)
+            filter_step(l1, st, cfg.dt)
+        elif bandwidth is not None:
+            eta = decay * eta + (1.0 - decay) * h(t + cfg.dt, x)
+            st.u_adaptive = -eta
+
+    return Trajectory(**rec, warnings=warnings)
 
 
 def integrate_closed_loop(model: DynamicsModel, field: MetricField,
@@ -118,76 +221,7 @@ def integrate_closed_loop(model: DynamicsModel, field: MetricField,
     ``l1=None`` disables the augmentation (contraction feedback alone while
     the uncertainty still acts on the plant) — the ablation baseline.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    n, m = model.state_dim, model.input_dim
-    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
-                            tol=cfg.geodesic_tol,
-                            enforce_domain=cfg.enforce_domain)
-    l1_state = L1State.start(x, m)
-    rec = _alloc(cfg.n_steps, n, m)
-    warnings: list[str] = []
-    warm = None
-    h = model.uncertainty
-
-    for step in range(cfg.n_steps + 1):
-        t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=warm)
-        warm = curve
-        if curve.degraded:
-            warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
-        if fb.infeasible:
-            warnings.append(f"step {step}: feedback constraint degenerated")
-        u_c = us + fb.gain
-        u_a = l1_state.u_adaptive.copy()
-
-        rec["times"][step] = t
-        rec["states"][step] = x
-        rec["states_star"][step] = xs
-        rec["u_feedback"][step] = u_c
-        rec["u_adaptive"][step] = u_a
-        rec["sigma_hat"][step] = l1_state.sigma_hat
-        rec["x_hat"][step] = l1_state.x_hat
-        rec["xtilde_norm"][step] = np.linalg.norm(l1_state.prediction_error(x))
-        rec["energy"][step] = curve.energy
-        if step == cfg.n_steps:
-            break
-
-        if l1 is None:
-            def rate(tt, xx):
-                u_plant = u_c + (h(tt, xx) if h is not None else 0.0)
-                return model.drift(xx) + model.input_matrix(xx) @ u_plant
-
-            x = rk4_step(rate, t, x, cfg.dt)
-            l1_state.x_hat = x.copy()
-            _check_alive(x, cfg.divergence_limit, rec, step)
-            continue
-
-        u_held = u_c + u_a
-        sigma_held = l1_state.sigma_hat.copy()
-        pred_mat = l1.pred_matrix
-
-        def joint_rate(tt, z):
-            xx, xh = z[:n], z[n:]
-            drift = model.drift(xx)
-            b_mat = model.input_matrix(xx)
-            u_plant = u_held + (h(tt, xx) if h is not None else 0.0)
-            dx = drift + b_mat @ u_plant
-            dxh = drift + b_mat @ (u_held + sigma_held) + pred_mat @ (xh - xx)
-            return np.concatenate([dx, dxh])
-
-        z = rk4_step(joint_rate, t, np.concatenate([x, l1_state.x_hat]),
-                     cfg.dt)
-        x, l1_state.x_hat = z[:n].copy(), z[n:].copy()
-        _check_alive(x, cfg.divergence_limit, rec, step)
-
-        adaptation_step(l1, l1_state, x, model.input_matrix(x), cfg.dt)
-        filter_step(l1, l1_state, cfg.dt)
-
-    return Trajectory(**rec, warnings=warnings)
+    return _integrate(model, field, traj_star, x0, cfg, l1=l1)
 
 
 def integrate_reference(model: DynamicsModel, field: MetricField,
@@ -196,95 +230,14 @@ def integrate_reference(model: DynamicsModel, field: MetricField,
     """Ideal reference loop: filtered *true* uncertainty on the adaptive
     channel.  Not implementable (it reads the uncertainty directly); it is
     the benchmark the certificates bound first."""
-    x = np.asarray(x0, dtype=float).copy()
-    n, m = model.state_dim, model.input_dim
-    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
-                            tol=cfg.geodesic_tol,
-                            enforce_domain=cfg.enforce_domain)
-    rec = _alloc(cfg.n_steps, n, m)
-    warnings: list[str] = []
-    warm = None
-    h = model.uncertainty
-    eta = np.zeros(m)            # low-pass state driven by the true uncertainty
-    decay = math.exp(-bandwidth * cfg.dt)
-
-    for step in range(cfg.n_steps + 1):
-        t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=warm)
-        warm = curve
-        if curve.degraded:
-            warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
-        u_c = us + fb.gain
-
-        rec["times"][step] = t
-        rec["states"][step] = x
-        rec["states_star"][step] = xs
-        rec["u_feedback"][step] = u_c
-        rec["u_adaptive"][step] = -eta
-        rec["x_hat"][step] = x
-        rec["energy"][step] = curve.energy
-        if step == cfg.n_steps:
-            break
-
-        u_held = u_c - eta
-
-        def rate(tt, xx):
-            u_plant = u_held + (h(tt, xx) if h is not None else 0.0)
-            return model.drift(xx) + model.input_matrix(xx) @ u_plant
-
-        x = rk4_step(rate, t, x, cfg.dt)
-        _check_alive(x, cfg.divergence_limit, rec, step)
-        if h is not None:
-            eta = decay * eta + (1.0 - decay) * h(t + cfg.dt, x)
-
-    return Trajectory(**rec, warnings=warnings)
+    return _integrate(model, field, traj_star, x0, cfg, bandwidth=bandwidth)
 
 
 def integrate_nominal_ccm(model: DynamicsModel, field: MetricField,
                           traj_star: DesiredTrajectory, x0,
                           cfg: SimConfig) -> Trajectory:
     """Contraction feedback alone on the nominal plant (no uncertainty)."""
-    x = np.asarray(x0, dtype=float).copy()
-    n, m = model.state_dim, model.input_dim
-    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
-                            tol=cfg.geodesic_tol,
-                            enforce_domain=cfg.enforce_domain)
-    rec = _alloc(cfg.n_steps, n, m)
-    warnings: list[str] = []
-    warm = None
-
-    for step in range(cfg.n_steps + 1):
-        t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=warm)
-        warm = curve
-        if curve.degraded:
-            warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
-        u_c = us + fb.gain
-
-        rec["times"][step] = t
-        rec["states"][step] = x
-        rec["states_star"][step] = xs
-        rec["u_feedback"][step] = u_c
-        rec["x_hat"][step] = x
-        rec["energy"][step] = curve.energy
-        if step == cfg.n_steps:
-            break
-
-        def rate(tt, xx):
-            return model.drift(xx) + model.input_matrix(xx) @ u_c
-
-        x = rk4_step(rate, t, x, cfg.dt)
-        _check_alive(x, cfg.divergence_limit, rec, step)
-
-    return Trajectory(**rec, warnings=warnings)
+    return _integrate(model, field, traj_star, x0, cfg, uncertain=False)
 
 
 # --- planning ----------------------------------------------------------------

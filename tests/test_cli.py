@@ -223,7 +223,12 @@ class TestSimulate:
         assert "diverged at step" in report["diverged"]
         _, rows = _read_csv(out / "closed_loop.csv")
         assert 1 <= len(rows) < 51                # truncated history
-        assert not (out / "reference.csv").exists()
+        # each loop runs on its own: the closed loop's divergence leaves the
+        # reference and nominal loops to run and write their outputs
+        assert (out / "reference.csv").exists()
+        assert (out / "nominal.csv").exists()
+        assert {"closed_loop", "reference", "nominal"} <= set(report)
+        assert report["closed_loop"]["diverged"] == report["diverged"]
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccml1.errors import GeodesicDomainError, MetricDomainError
-from ccml1.geodesic import GeodesicSolver, solve_geodesic
+from ccml1.geodesic import GeodesicSolver
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import SafeSet
 
@@ -32,11 +32,11 @@ FROZEN_EX2_ENERGY = 0.24810303185853522     # [1,0] -> origin
 
 
 def test_frozen_energy_values(ex1, ex2):
-    c1 = solve_geodesic(ex1.metric, np.array([0.01, -0.01, 0.01]),
-                        np.zeros(3))
+    c1 = GeodesicSolver(ex1.metric).solve(np.array([0.01, -0.01, 0.01]),
+                                          np.zeros(3))
     assert c1.converged
     assert c1.energy == pytest.approx(FROZEN_EX1_ENERGY, rel=1e-9)
-    c2 = solve_geodesic(ex2.metric, np.array([1.0, 0.0]), np.zeros(2))
+    c2 = GeodesicSolver(ex2.metric).solve(np.array([1.0, 0.0]), np.zeros(2))
     assert c2.energy == pytest.approx(FROZEN_EX2_ENERGY, rel=1e-12)
 
 
@@ -123,7 +123,7 @@ class TestVaryingMetric:
         assert warm.iterations <= cold.iterations
 
     def test_degenerate_endpoints(self, ex1):
-        curve = solve_geodesic(ex1.metric, np.zeros(3), np.zeros(3))
+        curve = GeodesicSolver(ex1.metric).solve(np.zeros(3), np.zeros(3))
         assert curve.energy == 0.0
         assert curve.converged
 
@@ -131,8 +131,8 @@ class TestVaryingMetric:
 class TestDomainHandling:
     def test_outside_domain_raises(self, ex1):
         with pytest.raises(GeodesicDomainError):
-            solve_geodesic(ex1.metric, np.zeros(3),
-                           np.array([0.2, 0.0, 0.0]))
+            GeodesicSolver(ex1.metric).solve(np.zeros(3),
+                                             np.array([0.2, 0.0, 0.0]))
 
     @pytest.mark.parametrize("p,q,named", [
         ([0.2, 0.0, 0.0], [0.0, 0.3, 0.0], "0.2"),   # both out: p first
@@ -141,25 +141,25 @@ class TestDomainHandling:
     ])
     def test_outside_endpoint_is_named(self, ex1, p, q, named):
         with pytest.raises(GeodesicDomainError, match=f"endpoint .*{named}"):
-            solve_geodesic(ex1.metric, np.array(p), np.array(q))
+            GeodesicSolver(ex1.metric).solve(np.array(p), np.array(q))
         # the box boundary itself, up to the 1e-9 slack, is inside
-        solve_geodesic(ex1.metric, np.zeros(3), np.full(3, 0.05 + 5e-10))
+        GeodesicSolver(ex1.metric).solve(np.zeros(3),
+                                         np.full(3, 0.05 + 5e-10))
 
     def test_enforcement_can_be_disabled(self, ex1):
-        curve = solve_geodesic(ex1.metric, np.zeros(3),
-                               np.array([0.06, 0.0, 0.0]),
-                               enforce_domain=False)
+        curve = GeodesicSolver(ex1.metric, enforce_domain=False).solve(
+            np.zeros(3), np.array([0.06, 0.0, 0.0]))
         assert np.isfinite(curve.energy)
 
     def test_non_finite_endpoint_rejected(self, ex1):
         with pytest.raises(GeodesicDomainError):
-            solve_geodesic(ex1.metric, np.zeros(3),
-                           np.array([np.nan, 0.0, 0.0]))
+            GeodesicSolver(ex1.metric).solve(np.zeros(3),
+                                             np.array([np.nan, 0.0, 0.0]))
 
     def test_upper_bound_flag(self, ex2):
         # clean solves always sit inside the declared eigenvalue envelope
-        clean = solve_geodesic(ex2.metric, np.array([4.5, 4.5]),
-                               np.array([-4.5, -4.5]))
+        clean = GeodesicSolver(ex2.metric).solve(np.array([4.5, 4.5]),
+                                                 np.array([-4.5, -4.5]))
         assert not clean.exceeds_upper_bound
         # ... and the flag fires when the declared ceiling understates the
         # metric (a mis-specified certificate input)
@@ -169,7 +169,8 @@ class TestDomainHandling:
             eig_floor=ex2.metric.eig_floor,
             eig_ceil=0.5 * ex2.metric.eig_floor,
             domain=ex2.metric.domain, validate=False)
-        curve = solve_geodesic(lying, np.array([1.0, 0.0]), np.zeros(2))
+        curve = GeodesicSolver(lying).solve(np.array([1.0, 0.0]),
+                                            np.zeros(2))
         assert curve.exceeds_upper_bound
 
 

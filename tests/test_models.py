@@ -181,7 +181,8 @@ class TestDesiredTrajectory:
         with pytest.raises(DimensionMismatch):
             DesiredTrajectory(0.0, 0.1, np.zeros((3, 2)), np.zeros((2, 1)))
 
-    def test_consistency_residual_scores_integrated_pairs(self, ex2):
+    def test_consistency_residual_scores_integrated_pairs(self, ex2,
+                                                          is_consistent):
         # roll the nominal plant forward with held inputs; the residual
         # must be at discretization level, and a corrupted copy must not be
         model = ex2.model
@@ -196,12 +197,13 @@ class TestDesiredTrajectory:
             states.append(x.copy())
         inputs.append(inputs[-1])
         traj = DesiredTrajectory(0.0, dt, np.array(states), np.array(inputs))
-        assert traj.is_consistent(model)
+        assert is_consistent(traj, model)
         bad = DesiredTrajectory(0.0, dt, np.array(states)[::-1].copy(),
                                 np.array(inputs))
-        assert not bad.is_consistent(model)
+        assert not is_consistent(bad, model)
 
-    def test_refine_preserves_nodes(self, ex2, ex2_plan, ex2_plan_fine):
+    def test_refine_preserves_nodes(self, ex2, ex2_plan, ex2_plan_fine,
+                                    is_consistent):
         fine = ex2_plan_fine
         assert fine.dt == pytest.approx(1e-3)
         per = round(ex2_plan.dt / fine.dt)
@@ -211,7 +213,7 @@ class TestDesiredTrajectory:
         np.testing.assert_array_equal(fine.inputs[:per],
                                       np.repeat(ex2_plan.inputs[:1], per,
                                                 axis=0))
-        assert fine.is_consistent(ex2.model)
+        assert is_consistent(fine, ex2.model)
 
     def test_refine_requires_divisible_step(self, ex2, ex2_plan):
         with pytest.raises(ValueError):

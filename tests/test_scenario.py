@@ -309,6 +309,45 @@ class TestBuiltinScenarios:
             builtin_scenario("ex9")
 
 
+class TestSystemBuiltOnce:
+    def test_builtin_system_built_once_per_instance(self, monkeypatch):
+        import ccml1.scenario as scenario_module
+        calls = []
+        real = scenario_module.builtin_example
+
+        def counted(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(scenario_module, "builtin_example", counted)
+        scn = builtin_scenario("ex2")           # from_dict builds once
+        assert calls == ["ex2"]
+        assert scn.system() is scn.system()
+        assert calls == ["ex2"]
+        other = Scenario.from_dict(scn.doc)     # a new instance builds anew
+        assert calls == ["ex2", "ex2"]
+        assert other.system() is not scn.system()
+
+    def test_inline_system_built_once_per_instance(self, monkeypatch):
+        calls = []
+        real = Scenario._inline_system
+
+        def counted(self, model_doc):
+            calls.append(id(self))
+            return real(self, model_doc)
+
+        monkeypatch.setattr(Scenario, "_inline_system", counted)
+        scn = Scenario.from_dict(_linear_doc())
+        for _ in range(3):
+            assert scn.system() is scn.system()
+        assert calls == [id(scn)]
+
+    def test_cache_is_not_part_of_the_value(self):
+        a, b = Scenario.from_dict(_linear_doc()), Scenario(doc=_linear_doc())
+        assert a == b
+        assert "_system" not in repr(a)
+
+
 class TestObstacleGeometry:
     SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 

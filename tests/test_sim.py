@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from ccml1 import sim as sim_module
+from ccml1.ccm_control import feedback_gain
 from ccml1.certification import TubeCertificate
 from ccml1.errors import DivergenceError, PlannerFailure
+from ccml1.geodesic import GeodesicSolver
+from ccml1.l1_control import L1Config, L1State, adaptation_step, filter_step
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import DesiredTrajectory, DynamicsModel, SafeSet
 from ccml1.scenario import SCHEMA_VERSION, Scenario
@@ -76,9 +79,10 @@ class TestPlanner:
         np.testing.assert_allclose(plan.states, np.array(xs), atol=1e-6)
         np.testing.assert_allclose(plan.inputs[:-1], np.array(us), atol=1e-6)
 
-    def test_reaches_target_on_builtin_plant(self, ex2, ex2_plan):
+    def test_reaches_target_on_builtin_plant(self, ex2, ex2_plan,
+                                             is_consistent):
         assert np.linalg.norm(ex2_plan.states[-1]) < 1e-3
-        assert ex2_plan.is_consistent(ex2.model)
+        assert is_consistent(ex2_plan, ex2.model)
         assert np.abs(ex2_plan.inputs).max() < 10.0
 
 
@@ -92,7 +96,6 @@ class TestLoops:
     def test_without_uncertainty_augmentation_is_silent(self, ex1):
         # h = 0 and sigma_hat starts at zero: predictor tracks exactly, the
         # estimate never moves, and the augmented loop equals the plain one
-        from ccml1.l1_control import L1Config
         model = dataclasses.replace(ex1.model, uncertainty=None)
         traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
                                                t_final=0.5, dt=1e-3)
@@ -131,7 +134,6 @@ class TestLoops:
         assert np.all(traj.energy <= bound * 1.05 + 1e-15)
 
     def test_adaptive_loop_attenuates_the_disturbance(self, ex1):
-        from ccml1.l1_control import L1Config
         traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
                                                t_final=1.0, dt=1e-4)
         cfg = _cfg(dt=1e-4, t_final=1.0)
@@ -432,3 +434,331 @@ class TestBatchedLinearization:
                 pass              # not converged after so few iterations
             assert calls["eval_batch"] == [800] * (4 * iters)
         assert calls["jac_drift"] == 0 and calls["d_input"] == 0
+
+
+# --- the one step loop against the four loops it replaced --------------------
+# The reference loops below are the per-system loop bodies the step loop in
+# ``ccml1.sim`` replaced, kept verbatim up to names: the closed loop with its
+# ``l1=None`` branch, the reference loop and the nominal loop.
+
+
+def _reference_check_alive(x, limit, rec, step):
+    if np.all(np.isfinite(x)) and np.linalg.norm(x) <= limit:
+        return
+    partial = Trajectory(**{k: v[:step + 1] for k, v in rec.items()})
+    raise DivergenceError(f"state diverged at step {step}", partial=partial)
+
+
+def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
+    x = np.asarray(x0, dtype=float).copy()
+    n, m = model.state_dim, model.input_dim
+    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
+                            tol=cfg.geodesic_tol,
+                            enforce_domain=cfg.enforce_domain)
+    l1_state = L1State.start(x, m)
+    rec = sim_module._alloc(cfg.n_steps, n, m)
+    warnings = []
+    warm = None
+    h = model.uncertainty
+
+    for step in range(cfg.n_steps + 1):
+        t = step * cfg.dt
+        xs = traj_star.state(t)
+        us = traj_star.input(t)
+        curve = solver.solve(xs, x, warm=warm)
+        warm = curve
+        if not curve.converged:
+            warnings.append(f"step {step}: geodesic not converged "
+                            f"(grad {curve.grad_norm:.2e})")
+        fb = feedback_gain(model, field, curve, us)
+        if fb.infeasible:
+            warnings.append(f"step {step}: feedback constraint degenerated")
+        u_c = us + fb.gain
+        u_a = l1_state.u_adaptive.copy()
+
+        rec["times"][step] = t
+        rec["states"][step] = x
+        rec["states_star"][step] = xs
+        rec["u_feedback"][step] = u_c
+        rec["u_adaptive"][step] = u_a
+        rec["sigma_hat"][step] = l1_state.sigma_hat
+        rec["x_hat"][step] = l1_state.x_hat
+        rec["xtilde_norm"][step] = np.linalg.norm(l1_state.prediction_error(x))
+        rec["energy"][step] = curve.energy
+        if step == cfg.n_steps:
+            break
+
+        if l1 is None:
+            def rate(tt, xx):
+                u_plant = u_c + (h(tt, xx) if h is not None else 0.0)
+                return model.drift(xx) + model.input_matrix(xx) @ u_plant
+
+            x = rk4_step(rate, t, x, cfg.dt)
+            l1_state.x_hat = x.copy()
+            _reference_check_alive(x, cfg.divergence_limit, rec, step)
+            continue
+
+        u_held = u_c + u_a
+        sigma_held = l1_state.sigma_hat.copy()
+        pred_mat = l1.pred_matrix
+
+        def joint_rate(tt, z):
+            xx, xh = z[:n], z[n:]
+            drift = model.drift(xx)
+            b_mat = model.input_matrix(xx)
+            u_plant = u_held + (h(tt, xx) if h is not None else 0.0)
+            dx = drift + b_mat @ u_plant
+            dxh = drift + b_mat @ (u_held + sigma_held) + pred_mat @ (xh - xx)
+            return np.concatenate([dx, dxh])
+
+        z = rk4_step(joint_rate, t, np.concatenate([x, l1_state.x_hat]),
+                     cfg.dt)
+        x, l1_state.x_hat = z[:n].copy(), z[n:].copy()
+        _reference_check_alive(x, cfg.divergence_limit, rec, step)
+
+        adaptation_step(l1, l1_state, x, model.input_matrix(x), cfg.dt)
+        filter_step(l1, l1_state, cfg.dt)
+
+    return Trajectory(**rec, warnings=warnings)
+
+
+def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
+    x = np.asarray(x0, dtype=float).copy()
+    n, m = model.state_dim, model.input_dim
+    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
+                            tol=cfg.geodesic_tol,
+                            enforce_domain=cfg.enforce_domain)
+    rec = sim_module._alloc(cfg.n_steps, n, m)
+    warnings = []
+    warm = None
+    h = model.uncertainty
+    eta = np.zeros(m)
+    decay = math.exp(-bandwidth * cfg.dt)
+
+    for step in range(cfg.n_steps + 1):
+        t = step * cfg.dt
+        xs = traj_star.state(t)
+        us = traj_star.input(t)
+        curve = solver.solve(xs, x, warm=warm)
+        warm = curve
+        if not curve.converged:
+            warnings.append(f"step {step}: geodesic not converged "
+                            f"(grad {curve.grad_norm:.2e})")
+        fb = feedback_gain(model, field, curve, us)
+        u_c = us + fb.gain
+
+        rec["times"][step] = t
+        rec["states"][step] = x
+        rec["states_star"][step] = xs
+        rec["u_feedback"][step] = u_c
+        rec["u_adaptive"][step] = -eta
+        rec["x_hat"][step] = x
+        rec["energy"][step] = curve.energy
+        if step == cfg.n_steps:
+            break
+
+        u_held = u_c - eta
+
+        def rate(tt, xx):
+            u_plant = u_held + (h(tt, xx) if h is not None else 0.0)
+            return model.drift(xx) + model.input_matrix(xx) @ u_plant
+
+        x = rk4_step(rate, t, x, cfg.dt)
+        _reference_check_alive(x, cfg.divergence_limit, rec, step)
+        if h is not None:
+            eta = decay * eta + (1.0 - decay) * h(t + cfg.dt, x)
+
+    return Trajectory(**rec, warnings=warnings)
+
+
+def _reference_nominal(model, field, traj_star, x0, cfg):
+    x = np.asarray(x0, dtype=float).copy()
+    n, m = model.state_dim, model.input_dim
+    solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
+                            tol=cfg.geodesic_tol,
+                            enforce_domain=cfg.enforce_domain)
+    rec = sim_module._alloc(cfg.n_steps, n, m)
+    warnings = []
+    warm = None
+
+    for step in range(cfg.n_steps + 1):
+        t = step * cfg.dt
+        xs = traj_star.state(t)
+        us = traj_star.input(t)
+        curve = solver.solve(xs, x, warm=warm)
+        warm = curve
+        if not curve.converged:
+            warnings.append(f"step {step}: geodesic not converged "
+                            f"(grad {curve.grad_norm:.2e})")
+        fb = feedback_gain(model, field, curve, us)
+        u_c = us + fb.gain
+
+        rec["times"][step] = t
+        rec["states"][step] = x
+        rec["states_star"][step] = xs
+        rec["u_feedback"][step] = u_c
+        rec["x_hat"][step] = x
+        rec["energy"][step] = curve.energy
+        if step == cfg.n_steps:
+            break
+
+        def rate(tt, xx):
+            return model.drift(xx) + model.input_matrix(xx) @ u_c
+
+        x = rk4_step(rate, t, x, cfg.dt)
+        _reference_check_alive(x, cfg.divergence_limit, rec, step)
+
+    return Trajectory(**rec, warnings=warnings)
+
+
+_TRAJECTORY_ARRAYS = ("times", "states", "states_star", "u_feedback",
+                      "u_adaptive", "sigma_hat", "x_hat", "xtilde_norm",
+                      "energy")
+
+
+def _assert_same_run(got, want):
+    """Every recorded array equal, bit for bit and sign of zero included."""
+    for name in _TRAJECTORY_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b),
+                                      err_msg=name)
+    assert got.warnings == want.warnings
+
+
+def _loop_pairs(sysb, l1):
+    """(unified, reference) callables for the four loop variants."""
+    model, field = sysb.model, sysb.metric
+    return {
+        "l1": (lambda ts, x0, cfg: integrate_closed_loop(
+                   model, field, l1, ts, x0, cfg),
+               lambda ts, x0, cfg: _reference_closed_loop(
+                   model, field, l1, ts, x0, cfg)),
+        "no_l1": (lambda ts, x0, cfg: integrate_closed_loop(
+                      model, field, None, ts, x0, cfg),
+                  lambda ts, x0, cfg: _reference_closed_loop(
+                      model, field, None, ts, x0, cfg)),
+        "reference": (lambda ts, x0, cfg: integrate_reference(
+                          model, field, l1.bandwidth, ts, x0, cfg),
+                      lambda ts, x0, cfg: _reference_reference_loop(
+                          model, field, l1.bandwidth, ts, x0, cfg)),
+        "nominal": (lambda ts, x0, cfg: integrate_nominal_ccm(
+                        model, field, ts, x0, cfg),
+                    lambda ts, x0, cfg: _reference_nominal(
+                        model, field, ts, x0, cfg)),
+    }
+
+
+_VARIANTS = ("l1", "no_l1", "reference", "nominal")
+
+
+def _ex1_l1():
+    return L1Config(state_dim=3, input_dim=1, bandwidth=50.0,
+                    adaptation_gain=5e6, unc_bound=0.12)
+
+
+def _ex2_l1():
+    return L1Config(state_dim=2, input_dim=1, bandwidth=90.0,
+                    adaptation_gain=4e7, unc_bound=3.0)
+
+
+class TestOneStepLoop:
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_ex1_equals_the_old_loop(self, ex1, variant):
+        traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                               t_final=0.15, dt=1e-3)
+        cfg = _cfg(t_final=0.15, enforce_domain=False)
+        unified, old = _loop_pairs(ex1, _ex1_l1())[variant]
+        x0 = np.array([0.01, -0.01, 0.01])
+        _assert_same_run(unified(traj_star, x0, cfg),
+                         old(traj_star, x0, cfg))
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_ex2_equals_the_old_loop(self, ex2, ex2_plan_fine, variant):
+        cfg = _cfg(t_final=0.2)
+        unified, old = _loop_pairs(ex2, _ex2_l1())[variant]
+        x0 = ex2_plan_fine.states[0] + np.array([0.3, -0.2])
+        _assert_same_run(unified(ex2_plan_fine, x0, cfg),
+                         old(ex2_plan_fine, x0, cfg))
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_partial_history_equals_the_old_loop(self, ex1, variant):
+        # steering from the origin to a far target crosses the limit after
+        # a hundred-odd steps
+        traj_star = DesiredTrajectory.constant(np.full(3, 0.04), np.zeros(1),
+                                               t_final=0.5, dt=1e-3)
+        cfg = _cfg(divergence_limit=0.01, enforce_domain=False)
+        unified, old = _loop_pairs(ex1, _ex1_l1())[variant]
+        x0 = np.zeros(3)
+        with pytest.raises(DivergenceError) as got:
+            unified(traj_star, x0, cfg)
+        with pytest.raises(DivergenceError) as want:
+            old(traj_star, x0, cfg)
+        assert str(got.value) == str(want.value)
+        assert 100 < len(got.value.partial.times) < cfg.n_steps + 1
+        _assert_same_run(got.value.partial, want.value.partial)
+
+    def test_all_three_loops_record_degenerate_feedback(self):
+        # the zero-input-matrix plant of the feedback tests: the constraint
+        # normal vanishes at every step off the desired state
+        poly = PolyMatrix(dim_in=1, shape=(1, 1),
+                          terms=[((0,), np.array([[1.0]]))])
+        field = MetricField.from_dual_polynomial(
+            poly, contraction_rate=1.0, eig_floor=0.9, eig_ceil=1.1,
+            domain=SafeSet.box(np.zeros(1), 10.0), validate=False)
+        model = DynamicsModel(1, 1, drift=lambda x: x.copy(),
+                              input_matrix=lambda x: np.zeros((1, 1)))
+        traj_star = DesiredTrajectory.constant(np.zeros(1), np.zeros(1),
+                                               t_final=0.01, dt=1e-3)
+        cfg = _cfg(t_final=0.01)
+        l1 = L1Config(state_dim=1, input_dim=1, bandwidth=10.0,
+                      adaptation_gain=10.0, unc_bound=1.0)
+        x0 = np.array([1.0])
+        runs = [integrate_closed_loop(model, field, l1, traj_star, x0, cfg),
+                integrate_closed_loop(model, field, None, traj_star, x0,
+                                      cfg),
+                integrate_reference(model, field, 10.0, traj_star, x0, cfg),
+                integrate_nominal_ccm(model, field, traj_star, x0, cfg)]
+        expected = [f"step {k}: feedback constraint degenerated"
+                    for k in range(cfg.n_steps + 1)]
+        for run in runs:
+            assert run.warnings == expected
+
+
+class TestDivergenceCheck:
+    def _check(self, x, limit=5.0):
+        rec = sim_module._alloc(1, len(x), 1)
+        sim_module._check_alive(np.asarray(x, dtype=float), limit, rec, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_diverges(self, bad):
+        with pytest.raises(DivergenceError, match="diverged at step 0"):
+            self._check([0.0, bad])
+
+    def test_state_exactly_at_the_limit_is_alive(self):
+        self._check([3.0, 4.0])                  # |x| = 5 exactly
+        self._check([-3.0, -4.0])
+        with pytest.raises(DivergenceError):
+            self._check([3.0, np.nextafter(4.0, 5.0)])
+
+    def test_overflowing_norm_diverges(self):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            self._check([1e200, 1e200], limit=1e300)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_accepts_what_the_norm_test_accepts(self, seed):
+        rng = np.random.default_rng(seed)
+        limit = 1.0
+        for x in rng.normal(scale=0.6, size=(200, 3)):
+            rec = sim_module._alloc(1, 3, 1)
+            try:
+                _reference_check_alive(x, limit, rec, 0)
+                alive = True
+            except DivergenceError:
+                alive = False
+            if alive:
+                sim_module._check_alive(x, limit, rec, 0)
+            else:
+                with pytest.raises(DivergenceError):
+                    sim_module._check_alive(x, limit, rec, 0)
