@@ -16,64 +16,77 @@ import numpy as np
 
 from .geodesic import GeodesicCurve
 from .metric import MetricField
-from .models import DynamicsModel
+from .models import matvec, row_dot
 
-# Below this constraint-normal norm the inequality cannot be influenced by
-# the input at all (B^T M gamma' ~ 0) and the closed form divides by ~zero.
+# Below this constraint-normal norm the closed form divides by ~zero, so the
+# correction is left at zero.
 _FEASIBILITY_FLOOR = 1e-10
+# The constraint counts as degenerate (no input reaches it: B^T M gamma' ~ 0)
+# only when its normal is also this small relative to the geodesic's endpoint
+# speed.  At vanishing tracking error normal and speed shrink together, and
+# the unforced decay falls short by rounding alone.
+_DEGENERATE_RATIO = 1e-10
 
 
 @dataclass
 class CcmFeedbackResult:
-    """Feedback value plus the pieces audits care about."""
+    """Row-wise feedback of a batch of geodesics."""
 
-    gain: np.ndarray            # the min-norm input correction
-    constraint_slack: float     # b >= 0 means the constraint was inactive
-    active: bool                # True when the correction is nonzero
-    infeasible: bool            # True when the constraint normal degenerated
-    geodesic: GeodesicCurve
-    energy: float
+    gain: np.ndarray             # (K, m) min-norm input corrections
+    constraint_slack: np.ndarray  # (K,) b; b >= 0: the constraint was inactive
+    active_rows: np.ndarray      # (K,) the correction is nonzero
+    infeasible_rows: np.ndarray  # (K,) the constraint normal degenerated
+
+    @property
+    def active(self) -> bool:
+        """True when some row's correction is nonzero."""
+        return bool(self.active_rows.any())
+
+    @property
+    def infeasible(self) -> bool:
+        """True when some row's constraint normal degenerated."""
+        return bool(self.infeasible_rows.any())
 
 
-def feedback_gain(model: DynamicsModel, field: MetricField,
-                  curve: GeodesicCurve, u_desired: np.ndarray
-                  ) -> CcmFeedbackResult:
-    """Closed-form min-norm feedback for one geodesic.
+def feedback_gain(field: MetricField, curve: GeodesicCurve,
+                  rate_des: np.ndarray, rate_act: np.ndarray,
+                  input_act: np.ndarray) -> CcmFeedbackResult:
+    """Closed-form min-norm feedback for each row of a batch of geodesics.
 
-    The curve must run from the desired state (s=0) to the actual state
-    (s=1); the endpoint metrics are the ones the solver evaluated (and
-    checked positive definite) for it.  When the constraint normal
-    degenerates (actual state nearly uncontrollable through the metric), the
-    returned gain is zero and ``infeasible`` is set; callers log it as a
-    certificate violation.
+    Row r of the curve must run from the desired state (s=0) to the actual
+    state (s=1); the endpoint metrics are the ones the solver evaluated (and
+    checked positive definite) for it.  ``rate_des`` and ``rate_act`` are
+    the nominal rates under the desired input at the desired and the actual
+    states ((K, n), or (1, n) shared by every row) and ``input_act`` the
+    (K, n, m) input matrices at the actual states.  When the constraint
+    normal degenerates (actual state nearly uncontrollable through the
+    metric), the row's gain is zero and it is flagged infeasible; callers
+    log it as a certificate violation.
     """
-    x_des = curve.states[0]
-    x = curve.states[-1]
     m_x = curve.endpoint_metric("end")
     m_des = curve.endpoint_metric("start")
     v_end = curve.endpoint_velocity("end")
     v_start = curve.endpoint_velocity("start")
     lam = field.contraction_rate
 
-    rate_des = model.nominal_rate(x_des, u_desired)
-    rate_act = model.nominal_rate(x, u_desired)
-
     # decay constraint in the input correction k:  a @ k <= b
-    a = 2.0 * (model.input_matrix(x).T @ (m_x @ v_end))
+    a = 2.0 * matvec(input_act.swapaxes(1, 2), matvec(m_x, v_end))
     b = (-2.0 * lam * curve.energy
-         - 2.0 * float(v_end @ (m_x @ rate_act))
-         + 2.0 * float(v_start @ (m_des @ rate_des)))
+         - 2.0 * row_dot(v_end, matvec(m_x, rate_act))
+         + 2.0 * row_dot(v_start, matvec(m_des, rate_des)))
 
     # no correction when the unforced decay suffices (b >= 0) or when no
-    # input reaches the constraint (a degenerate normal: infeasible)
-    a_sq = float(a @ a)
-    if b >= 0.0 or a_sq < _FEASIBILITY_FLOOR ** 2:
-        return CcmFeedbackResult(gain=np.zeros(model.input_dim),
-                                 constraint_slack=b, active=False,
-                                 infeasible=b < 0.0, geodesic=curve,
-                                 energy=curve.energy)
-
-    gain = (b / a_sq) * a
-    return CcmFeedbackResult(gain=gain, constraint_slack=b, active=True,
-                             infeasible=False, geodesic=curve,
-                             energy=curve.energy)
+    # input reaches the constraint (a degenerate normal)
+    a_sq = row_dot(a, a)
+    zero = (b >= 0.0) | (a_sq < _FEASIBILITY_FLOOR ** 2)
+    if not zero.any():
+        return CcmFeedbackResult(gain=(b / a_sq)[:, None] * a,
+                                 constraint_slack=b, active_rows=~zero,
+                                 infeasible_rows=zero)
+    active = ~zero
+    gain = np.zeros(a.shape)
+    gain[active] = (b[active] / a_sq[active])[:, None] * a[active]
+    infeasible = zero & (b < 0.0) & (
+        a_sq <= _DEGENERATE_RATIO ** 2 * row_dot(v_end, v_end))
+    return CcmFeedbackResult(gain=gain, constraint_slack=b,
+                             active_rows=active, infeasible_rows=infeasible)

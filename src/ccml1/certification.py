@@ -460,8 +460,8 @@ def initial_energy(field: MetricField, x0, x0_star) -> float:
     """Riemannian energy of the geodesic from the desired to the actual
     initial state."""
     solver = GeodesicSolver(field, enforce_domain=False)
-    return solver.solve(np.asarray(x0_star, dtype=float),
-                        np.asarray(x0, dtype=float)).energy
+    return float(solver.solve(np.asarray(x0_star, dtype=float)[None],
+                              np.asarray(x0, dtype=float)[None]).energy[0])
 
 
 def tube_radii(alpha_lo: float, alpha_hi: float, eps: float, rho_a: float,

@@ -11,8 +11,8 @@ sweep      grid of tunings; one CSV row per combination with certificate
 check-ccm  sample the pointwise metric conditions over the operating region
 
 Exit codes: 0 success, 1 usage or scenario error, 2 certificate infeasible
-(or metric check failed, or the planner failed), 3 simulation divergence
-(partial outputs are still written).
+(or metric check failed, or the planner failed), 3 a simulated loop
+diverged or left the metric's domain (partial outputs are still written).
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ import numpy as np
 
 from .certification import (TubeSampling, check_conditions, estimate_deltas,
                             search_params, tube_radii)
-from .errors import (CcmL1Error, DivergenceError, InfeasibleCertificate,
-                     PlannerFailure, ScenarioError)
+from .errors import (CcmL1Error, InfeasibleCertificate, PlannerFailure,
+                     ScenarioError)
 from .metric import ccm_check
 from .models import DesiredTrajectory
 from .scenario import (Scenario, builtin_scenario, canonical_json,
                        tube_obstacle_clearance)
 from .sim import (containment, ilqr_plan, integrate_closed_loop,
-                  integrate_nominal_ccm, integrate_reference)
+                  integrate_nominal_ccm, integrate_reference, lockstep,
+                  time_radii)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,9 +100,7 @@ def _load_scenario(args) -> Scenario:
     if args.seed is not None:
         if args.seed < 0:
             raise _UsageError("--seed must be nonnegative")
-        doc = dict(scn.doc)
-        doc["sim"] = dict(doc.get("sim", {}), seed=int(args.seed))
-        scn = Scenario.from_dict(doc)
+        scn = scn.with_seed(args.seed)
     return scn
 
 
@@ -179,6 +178,7 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows):
+    """Rows of mixed types, each cell through :func:`_fmt`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -186,7 +186,18 @@ def _write_csv(path: Path, header: list[str], rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _traj_csv(path: Path, traj, cert):
+def _write_numbers(path: Path, header: list[str], table: np.ndarray):
+    """A 2-D table of floats, one ``%.17g`` format per row: the text
+    :func:`_write_csv` writes for it, csv's ``\\r\\n`` line ends included."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % tuple(row) for row in table.tolist())
+
+
+def _traj_csv(path: Path, traj, cert, delta_t: np.ndarray):
+    """One run's CSV; ``delta_t`` is the certificate's total radius along
+    the time grid (at least as long as the run)."""
     n = traj.states.shape[1]
     m = traj.u_feedback.shape[1]
     header = (["t"]
@@ -196,17 +207,16 @@ def _traj_csv(path: Path, traj, cert):
               + [f"u_a[{j}]" for j in range(m)]
               + [f"sigma_hat[{j}]" for j in range(m)]
               + ["xtilde_norm", "energy", "dist", "rho", "delta_t"])
-    dist = traj.dist
+    k = len(traj.times)
+    _write_numbers(path, header, np.column_stack([
+        traj.times, traj.states, traj.states_star, traj.u_feedback,
+        traj.u_adaptive, traj.sigma_hat, traj.xtilde_norm, traj.energy,
+        traj.dist, np.full(k, cert.rho), delta_t[:k]]))
 
-    def rows():
-        for k, t in enumerate(traj.times):
-            yield ([t] + list(traj.states[k]) + list(traj.states_star[k])
-                   + list(traj.u_feedback[k]) + list(traj.u_adaptive[k])
-                   + list(traj.sigma_hat[k])
-                   + [traj.xtilde_norm[k], traj.energy[k], dist[k],
-                      cert.rho, cert.delta_t(float(t))])
 
-    _write_csv(path, header, rows())
+def _sup(values: np.ndarray):
+    """Largest entry, or None for a run that recorded no step."""
+    return float(np.max(values)) if len(values) else None
 
 
 # --- commands ------------------------------------------------------------------
@@ -255,37 +265,33 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
     if not args.no_l1:
         l1cfg = scn.make_l1_config(model, cert.omega, cert.gamma, unc_bound)
 
-    def run(loop, *loop_args):
-        """One loop on its own: its trajectory (partial when it diverged)
-        and the divergence message, so one loop's divergence leaves the
-        others' outputs whole."""
-        try:
-            return loop(model, field, *loop_args), None
-        except DivergenceError as exc:
-            return exc.partial, str(exc)
-
-    loops = {"closed_loop": ("actual", *run(integrate_closed_loop, l1cfg,
-                                            traj_star, x0, cfg)),
-             "reference": ("reference", *run(integrate_reference, cert.omega,
-                                             traj_star, x0, cfg)),
-             "nominal": ("actual", *run(integrate_nominal_ccm, traj_star,
-                                        x0, cfg))}
-    diverged = next((msg for _, _, msg in loops.values() if msg), None)
+    loops = {"closed_loop": ("actual", integrate_closed_loop(l1cfg)),
+             "reference": ("reference", integrate_reference(cert.omega)),
+             "nominal": ("actual", integrate_nominal_ccm())}
+    trajs = dict(zip(loops, lockstep(model, field, traj_star, x0, cfg,
+                                     [loop for _, loop in loops.values()])))
+    diverged = next((str(traj.stopped) for traj in trajs.values()
+                     if traj.stopped is not None), None)
+    # the certificate's radii along the longest run's time grid
+    grid = max((traj.times for traj in trajs.values()), key=len)
+    delta_t, mu = time_radii(cert, grid)
 
     report: dict = {"scenario": scn.name, "diverged": diverged,
                     "l1_enabled": not args.no_l1,
                     "certificate_valid": bool(cert.valid)}
-    for name, (kind, traj, msg) in loops.items():
-        _traj_csv(out / f"{name}.csv", traj, cert)
-        rep = containment(traj, cert, kind=kind, safe_set=sysb.safe_set)
+    for name, (kind, _) in loops.items():
+        traj = trajs[name]
+        _traj_csv(out / f"{name}.csv", traj, cert, delta_t)
+        rep = containment(traj, cert, kind=kind, safe_set=sysb.safe_set,
+                          radii=(delta_t, mu))
         report[name] = rep.as_dict()
-        report[name]["sup_xtilde"] = float(np.max(traj.xtilde_norm))
-        report[name]["sup_sigma_hat"] = float(
-            np.max(np.linalg.norm(traj.sigma_hat, axis=1)))
+        report[name]["sup_xtilde"] = _sup(traj.xtilde_norm)
+        report[name]["sup_sigma_hat"] = _sup(
+            np.linalg.norm(traj.sigma_hat, axis=1))
         if traj.warnings:
             report[name]["warnings"] = list(traj.warnings)
-        if msg is not None:
-            report[name]["diverged"] = msg
+        if traj.stopped is not None:
+            report[name]["diverged"] = str(traj.stopped)
 
     obstacles = scn.obstacles()
     if obstacles and model.state_dim == 2:
@@ -294,24 +300,23 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
 
     _write_json(out / "containment.json", report)
 
-    header = ["t", "dist_closed", "dist_reference", "dist_nominal",
-              "rho", "rho_r", "delta_t", "mu"]
-    d_cl, d_ref, d_nom = (traj.dist for _, traj, _ in loops.values())
-
-    def rows():
-        for k, t in enumerate(loops["closed_loop"][1].times):
-            yield [t, d_cl[k],
-                   d_ref[k] if k < len(d_ref) else math.nan,
-                   d_nom[k] if k < len(d_nom) else math.nan,
-                   cert.rho, cert.rho_r,
-                   cert.delta_t(float(t)), cert.mu(float(t))]
-
-    _write_csv(out / "plot_bounds.csv", header, rows())
+    # one row per step of the closed loop; the other loops' distances are
+    # NaN where they stopped earlier
+    k = len(trajs["closed_loop"].times)
+    dists = [np.full(k, math.nan) for _ in trajs]
+    for col, traj in zip(dists, trajs.values()):
+        col[:len(traj.times)] = traj.dist[:k]
+    _write_numbers(out / "plot_bounds.csv",
+                   ["t", "dist_closed", "dist_reference", "dist_nominal",
+                    "rho", "rho_r", "delta_t", "mu"],
+                   np.column_stack([grid[:k], *dists, np.full(k, cert.rho),
+                                    np.full(k, cert.rho_r), delta_t[:k],
+                                    mu[:k]]))
 
     if diverged is not None:
         print(f"simulation diverged: {diverged}", file=sys.stderr)
         return EXIT_DIVERGED
-    sup = float(np.max(d_cl))
+    sup = float(np.max(trajs["closed_loop"].dist))
     print(f"simulate done: sup tracking error {sup:.6g} "
           f"(tube radius {cert.rho:.6g}, "
           f"contained={report['closed_loop']['contained']})")
@@ -350,10 +355,19 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
               "margin_energy", "margin_bandwidth", "margin_adaptation",
               "sup_dist", "sup_xtilde", "sup_sigma_hat", "contained",
               "status"]
-    rows = []
+
+    def fail(row, exc):
+        msg = " ".join(str(exc).split())
+        row += [math.nan] * (len(header) - len(row) - 1)
+        row += [f"{type(exc).__name__}: {msg}"]
+
+    # certificates first, in grid order; the combinations that share a
+    # tube radius share its constants, and their loops run as one batch
+    rows, groups = [], {}
     for omega, gamma, eps, rho_a in itertools.product(omegas, gammas,
                                                       epss, rho_as):
         row = [omega, gamma, eps, rho_a]
+        rows.append(row)
         try:
             _, rho = tube_radii(field.eig_floor, field.eig_ceil, eps,
                                 rho_a, x0, x0_star)
@@ -372,8 +386,23 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
             l1cfg = scn.make_l1_config(
                 model, omega, gamma,
                 unc_bound if unc_bound is not None else deltas.unc_sup)
-            traj = integrate_closed_loop(model, field, l1cfg, traj_star,
-                                         x0, cfg)
+        except (CcmL1Error, ValueError) as exc:
+            fail(row, exc)
+            continue
+        groups.setdefault(rho, []).append((row, cert, l1cfg))
+
+    for members in groups.values():
+        try:
+            trajs = lockstep(model, field, traj_star, x0, cfg,
+                             [integrate_closed_loop(c) for _, _, c in members])
+        except (CcmL1Error, ValueError) as exc:
+            for row, _, _ in members:
+                fail(row, exc)
+            continue
+        for (row, cert, _), traj in zip(members, trajs):
+            if traj.stopped is not None:
+                fail(row, traj.stopped)
+                continue
             rep = containment(traj, cert, kind="actual",
                               safe_set=sysb.safe_set)
             row += [cert.rho, cert.valid, cert.margin_energy,
@@ -382,11 +411,6 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
                     float(np.max(traj.xtilde_norm)),
                     float(np.max(np.linalg.norm(traj.sigma_hat, axis=1))),
                     rep.contained, "ok"]
-        except (CcmL1Error, ValueError) as exc:
-            msg = " ".join(str(exc).split())
-            row += [math.nan] * (len(header) - len(row) - 1)
-            row += [f"{type(exc).__name__}: {msg}"]
-        rows.append(row)
 
     _write_csv(out / "sweep.csv", header, rows)
     n_ok = sum(1 for r in rows if r[-1] == "ok")
@@ -449,9 +473,6 @@ def main(argv=None) -> int:
     except PlannerFailure as exc:
         print(f"planner failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DivergenceError as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

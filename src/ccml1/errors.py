@@ -10,11 +10,16 @@ class DimensionMismatch(CcmL1Error):
 
 
 class MetricDomainError(CcmL1Error):
-    """The metric is not positive definite (or not valid) at the queried state."""
+    """The metric is not positive definite (or not valid) at the queried state.
 
-    def __init__(self, message, x=None):
+    ``row`` is the index of the offending row in the batch the raising call
+    was given, or None.
+    """
+
+    def __init__(self, message, x=None, row=None):
         super().__init__(message)
         self.x = x
+        self.row = row
 
 
 class MetricValidationError(CcmL1Error):
@@ -22,7 +27,12 @@ class MetricValidationError(CcmL1Error):
 
 
 class GeodesicDomainError(CcmL1Error):
-    """Geodesic endpoint outside the metric's validated domain."""
+    """Geodesic endpoint outside the metric's validated domain; ``row`` is
+    the batch row it belongs to, or None."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class InfeasibleCertificate(CcmL1Error):
@@ -38,11 +48,8 @@ class PlannerFailure(CcmL1Error):
 
 
 class DivergenceError(CcmL1Error):
-    """Simulated state exceeded the divergence threshold; partial data attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Simulated state exceeded the divergence threshold.  A lockstep run
+    records it as the reason its row stopped; nothing raises it."""
 
 
 class ScenarioError(CcmL1Error):

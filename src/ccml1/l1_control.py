@@ -15,16 +15,22 @@ All discrete-time pieces here are exact or explicitly documented:
 * the estimator uses an explicit Euler step (the standard choice); a radial
   clamp after the step enforces the ball invariance that the projection
   guarantees only in continuous time.
+
+The updates work row-wise on the L1 rows of a lockstep batch
+(:class:`L1Rows` for their tuning, :class:`L1State` for their state): each
+row's products are stacked calls of the same shape as one row on its own,
+so a row's result does not depend on the rows beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .errors import DimensionMismatch
+from .models import matvec, row_dot
 
 
 @dataclass
@@ -72,25 +78,78 @@ class L1Config:
                                                     -self.lyap_q)
         self.lyap_p = 0.5 * (self.lyap_p + self.lyap_p.T)
 
-    @property
-    def clamp_radius(self) -> float:
-        """Largest estimate norm the discrete update permits."""
-        return self.unc_bound * float(np.sqrt(1.0 + self.eps_proj))
+
+@dataclass
+class L1Rows:
+    """Row-wise tuning of the L1 rows of a lockstep batch.
+
+    Each row has its own filter bandwidth, adaptation gain, predictor matrix
+    and Lyapunov solution.  The rows share the uncertainty ball (its radius
+    and the projection boundary layer): it belongs to the plant they all run.
+    """
+
+    bandwidth: np.ndarray          # (K,)
+    adaptation_gain: np.ndarray    # (K,)
+    pred_matrix: np.ndarray        # (K, n, n)
+    lyap_p: np.ndarray             # (K, n, n)
+    unc_bound: float
+    eps_proj: float
+    _step: tuple = dc_field(default=(None,), init=False, repr=False,
+                            compare=False)
+
+    def __post_init__(self):
+        # the largest estimate norm the discrete update permits
+        self.clamp_radius = self.unc_bound * float(
+            np.sqrt(1.0 + self.eps_proj))
+
+    @classmethod
+    def stack(cls, cfgs: Sequence[L1Config]) -> "L1Rows":
+        """One row per configuration, in order."""
+        if len({(c.unc_bound, c.eps_proj) for c in cfgs}) != 1:
+            raise ValueError("the L1 rows of one batch must share one "
+                             "uncertainty ball (unc_bound and eps_proj)")
+        return cls(bandwidth=np.array([c.bandwidth for c in cfgs]),
+                   adaptation_gain=np.array([c.adaptation_gain
+                                             for c in cfgs]),
+                   pred_matrix=np.array([c.pred_matrix for c in cfgs]),
+                   lyap_p=np.array([c.lyap_p for c in cfgs]),
+                   unc_bound=cfgs[0].unc_bound, eps_proj=cfgs[0].eps_proj)
+
+    def rows(self, keep) -> "L1Rows":
+        """The tuning of the rows that ``keep`` selects."""
+        return L1Rows(self.bandwidth[keep], self.adaptation_gain[keep],
+                      self.pred_matrix[keep], self.lyap_p[keep],
+                      self.unc_bound, self.eps_proj)
+
+    def per_step(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(K, 1) columns of the adaptation gain times ``dt`` and of the
+        filter's decay over ``dt``, computed once per step size."""
+        if self._step[0] != dt:
+            self._step = (dt, (dt * self.adaptation_gain)[:, None],
+                          np.exp(-self.bandwidth * dt)[:, None])
+        return self._step[1:]
 
 
 @dataclass
 class L1State:
-    """Mutable per-run state of the augmentation."""
+    """Mutable state of the L1 rows of a batch: (K, n) predictor states and
+    (K, m) estimates and filtered corrections."""
 
-    x_hat: np.ndarray           # predictor state
-    sigma_hat: np.ndarray       # matched-uncertainty estimate
-    u_adaptive: np.ndarray      # filtered correction currently applied
+    x_hat: np.ndarray           # predictor states
+    sigma_hat: np.ndarray       # matched-uncertainty estimates
+    u_adaptive: np.ndarray      # filtered corrections currently applied
 
     @classmethod
     def start(cls, x0, input_dim: int) -> "L1State":
         x0 = np.asarray(x0, dtype=float)
-        return cls(x_hat=x0.copy(), sigma_hat=np.zeros(input_dim),
-                   u_adaptive=np.zeros(input_dim))
+        k = x0.shape[0]
+        return cls(x_hat=x0.copy(), sigma_hat=np.zeros((k, input_dim)),
+                   u_adaptive=np.zeros((k, input_dim)))
+
+    def rows(self, keep) -> "L1State":
+        """The state of the rows that ``keep`` selects."""
+        return L1State(self.x_hat[keep], self.sigma_hat[keep],
+                       self.u_adaptive[keep])
 
     def prediction_error(self, x) -> np.ndarray:
         return self.x_hat - np.asarray(x, dtype=float)
@@ -98,63 +157,68 @@ class L1State:
 
 def projection_map(theta: np.ndarray, raw: np.ndarray, radius: float,
                    eps: float) -> np.ndarray:
-    """Smoothly deflect ``raw`` so the driven estimate stays near the ball.
+    """Smoothly deflect each row of ``raw`` so the driven estimate (the same
+    row of ``theta``) stays near the ball.
 
     Inside the ball of the given radius the map is the identity; in the
     boundary layer (norm between ``radius`` and ``radius*sqrt(1+eps)``) the
     outward component is progressively removed whenever ``raw`` points
     outward.  The deflection is always along ``theta`` itself, which gives
     the defining inequality: for every target inside the ball, the deflection
-    never increases the squared distance to it.
+    never increases the squared distance to it.  A single vector is one row.
     """
     theta = np.asarray(theta, dtype=float)
     raw = np.asarray(raw, dtype=float)
-    norm_sq = float(theta @ theta)
+    norm_sq = row_dot(theta, theta)
     f = (norm_sq - radius * radius) / (eps * radius * radius)
-    if f <= 0.0:
+    if (f <= 0.0).all():          # every estimate inside the ball
         return raw.copy()
-    outward = float(theta @ raw)
-    if outward <= 0.0:
+    outward = row_dot(theta, raw)
+    push = ~((f <= 0.0) | (outward <= 0.0))
+    if push.all():
+        return raw - (f * outward / norm_sq)[..., None] * theta
+    if not push.any():
         return raw.copy()
-    return raw - (f * outward / norm_sq) * theta
+    coef = f * outward / np.where(push, norm_sq, 1.0)
+    return np.where(push[..., None], raw - coef[..., None] * theta, raw)
 
 
-def predictor_rate(cfg: L1Config, drift: np.ndarray, input_mat: np.ndarray,
-                   u_applied: np.ndarray, sigma_hat: np.ndarray,
-                   x_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Time derivative of the predictor state.
+def predictor_rate(cfg: L1Rows, drift: np.ndarray, input_mat: np.ndarray,
+                   u_est: np.ndarray, x_hat: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Time derivative of each row's predictor state.
 
     ``drift`` and ``input_mat`` are the plant's pieces evaluated at the
-    *measured* state; the predictor differs from the plant only by the
-    uncertainty estimate and the Hurwitz pull-back on the prediction error.
+    *measured* states, and ``u_est`` is the applied input plus the
+    uncertainty estimate: the predictor differs from the plant only by that
+    estimate and the Hurwitz pull-back on the prediction error.
     """
-    if u_applied.shape != sigma_hat.shape:
-        raise DimensionMismatch("input and estimate dimensions differ")
-    return (drift + input_mat @ (u_applied + sigma_hat)
-            + cfg.pred_matrix @ (x_hat - x))
+    return (drift + matvec(input_mat, u_est)
+            + matvec(cfg.pred_matrix, x_hat - x))
 
 
-def adaptation_step(cfg: L1Config, state: L1State, x: np.ndarray,
+def adaptation_step(cfg: L1Rows, state: L1State, x: np.ndarray,
                     input_mat: np.ndarray, dt: float) -> None:
-    """One explicit-Euler update of the estimate, in place.
+    """One explicit-Euler update of each row's estimate, in place.
 
     The raw drive is the prediction-error signal projected against the
     uncertainty ball; a radial clamp afterwards enforces in discrete time the
     invariance the projection gives in continuous time.
     """
-    x_tilde = state.prediction_error(x)
-    raw = -(input_mat.T @ (cfg.lyap_p @ x_tilde))
+    x_tilde = state.x_hat - x
+    raw = -matvec(input_mat.swapaxes(1, 2), matvec(cfg.lyap_p, x_tilde))
     drive = projection_map(state.sigma_hat, raw, cfg.unc_bound, cfg.eps_proj)
-    sigma = state.sigma_hat + dt * cfg.adaptation_gain * drive
-    norm = float(np.linalg.norm(sigma))
+    sigma = state.sigma_hat + cfg.per_step(dt)[0] * drive
+    norm = np.sqrt(row_dot(sigma, sigma))
     cap = cfg.clamp_radius
-    if norm > cap:
-        sigma *= cap / norm
+    if norm.max() > cap:
+        over = norm > cap
+        sigma[over] *= (cap / norm[over])[:, None]
     state.sigma_hat = sigma
 
 
-def filter_step(cfg: L1Config, state: L1State, dt: float) -> None:
-    """Exact zero-order-hold step of the first-order command filter."""
-    decay = float(np.exp(-cfg.bandwidth * dt))
+def filter_step(cfg: L1Rows, state: L1State, dt: float) -> None:
+    """Exact zero-order-hold step of each row's first-order command filter."""
+    decay = cfg.per_step(dt)[1]
     state.u_adaptive = (decay * state.u_adaptive
                         + (1.0 - decay) * (-state.sigma_hat))

@@ -63,6 +63,10 @@ class PolyMatrix:
         self._coeffs = np.stack([c for _, c in self.terms])
         self._flat_coeffs = self._coeffs.reshape(len(self.terms), -1)
         self.is_constant = not np.any(self._powers)
+        # coordinates some monomial depends on; every other factor of a
+        # monomial is x**0 = 1.0 exactly, so leaving them out of the
+        # product changes no bit
+        self._live = np.flatnonzero(np.any(self._powers, axis=0))
 
     @property
     def is_zero(self) -> bool:
@@ -81,7 +85,12 @@ class PolyMatrix:
         if self.is_constant:
             return np.broadcast_to(self._coeffs.sum(axis=0),
                                    (xs.shape[0],) + self.shape).copy()
-        scales = np.prod(xs[:, None, :] ** self._powers[None, :, :], axis=2)
+        live = self._live
+        if len(live) == 1:
+            scales = xs[:, live] ** self._powers[:, live[0]]
+        else:
+            scales = np.prod(xs[:, None, live] ** self._powers[None, :, live],
+                             axis=2)
         return (scales @ self._flat_coeffs).reshape((xs.shape[0],) + self.shape)
 
     @classmethod
@@ -167,6 +176,12 @@ class MetricField:
         n = self.dim
         partials = [self.dual_poly.partial(i) for i in range(n)]
         self.active_coords = [i for i, p in enumerate(partials) if not p.is_zero]
+        # the same coordinates as a slice when they run consecutively (a
+        # view costs less than a gather)
+        act = self.active_coords
+        self.active_index = (slice(act[0], act[-1] + 1)
+                             if act and act == list(range(act[0], act[-1] + 1))
+                             else act)
         self._fused = PolyMatrix.vstack(
             [self.dual_poly] + [partials[i] for i in self.active_coords])
         self.constant_metric = (np.linalg.inv(self.dual_poly.sum_coeffs())
@@ -234,8 +249,9 @@ class MetricField:
         ``active_coords`` (the others are zero).  ``check_pd`` is True to
         require a positive-definite dual at every state, False for none, or a
         sequence of row indices to check only those states; the first failing
-        one, in that order, is reported in the MetricDomainError.  A constant
-        metric is never re-checked.
+        one, in that order, is reported in the MetricDomainError, whose
+        ``row`` is its index in ``xs``.  A constant metric is never
+        re-checked.
         """
         k, n = xs.shape[0], self.dim
         if self.constant_metric is not None:
@@ -247,11 +263,10 @@ class MetricField:
         if check_pd is True:
             _require_pd(duals, xs)
         elif check_pd is not False:
-            rows = list(check_pd)
-            _require_pd(duals[rows], xs[rows])
+            _require_pd(duals, xs, order=check_pd)
         m = _inv_batch(duals)
         dm = np.zeros((k, n, n, n))
-        dm[:, self.active_coords] = -m[:, None] @ dual_partials @ m[:, None]
+        dm[:, self.active_index] = -m[:, None] @ dual_partials @ m[:, None]
         return duals, dual_partials, m, dm
 
     # -- validation ---------------------------------------------------------
@@ -275,25 +290,37 @@ class MetricField:
                 f"declared envelope [{self.eig_floor:.6g}, {self.eig_ceil:.6g}]")
 
 
-def _require_pd(duals: np.ndarray, xs: np.ndarray) -> None:
-    """Raise MetricDomainError at the first state whose dual is not
-    positive definite."""
+def _require_pd(duals: np.ndarray, xs: np.ndarray, order=None) -> None:
+    """Raise MetricDomainError at the first state, taken in ``order`` (row
+    indices; all rows in turn by default), whose dual is not positive
+    definite.  One stacked factorization covers the common case."""
     try:
-        np.linalg.cholesky(duals)
+        np.linalg.cholesky(duals if order is None else duals[order])
     except np.linalg.LinAlgError:
-        for w, x in zip(duals, xs):
+        for i in (range(len(duals)) if order is None else order):
             try:
-                np.linalg.cholesky(w)
+                np.linalg.cholesky(duals[i])
             except np.linalg.LinAlgError:
                 raise MetricDomainError("dual metric not positive definite",
-                                        x=np.array(x)) from None
+                                        x=np.array(xs[i]), row=int(i)) from None
         raise MetricDomainError("dual metric not positive definite") from None
 
 
-# cyclic successors of 0, 1, 2: the 3x3 cofactor of entry (i, j) is
-# a[i+1, j+1] * a[i+2, j+2] - a[i+1, j+2] * a[i+2, j+1], indices mod 3
-_NEXT1 = np.array([1, 2, 0])
-_NEXT2 = np.array([2, 0, 1])
+def _adjugate_taps():
+    """Flat indices into a row-major 3x3 matrix: entry p = 3j + i of the
+    adjugate is a[I1] * a[I2] - a[I3] * a[I4], the cofactor of (i, j), whose
+    rows and columns are the cyclic successors of i and j."""
+    succ1, succ2 = (1, 2, 0), (2, 0, 1)
+    taps = np.empty((4, 9), dtype=int)
+    for j in range(3):
+        for i in range(3):
+            r1, r2, c1, c2 = succ1[i], succ2[i], succ1[j], succ2[j]
+            taps[:, 3 * j + i] = (3 * r1 + c1, 3 * r2 + c2,
+                                  3 * r1 + c2, 3 * r2 + c1)
+    return taps
+
+
+_ADJ_TAPS = _adjugate_taps()
 
 
 def _inv_batch(mats: np.ndarray) -> np.ndarray:
@@ -311,15 +338,15 @@ def _inv_batch(mats: np.ndarray) -> np.ndarray:
         out[..., 1, 1] = a
         return out / det[..., None, None]
     if n == 3:
-        a = mats
-        r1, r2 = a[..., _NEXT1, :], a[..., _NEXT2, :]
-        adj = (r1[..., _NEXT1] * r2[..., _NEXT2]
-               - r1[..., _NEXT2] * r2[..., _NEXT1]).swapaxes(-1, -2)
-        det = (a[..., 0, 0] * adj[..., 0, 0] + a[..., 0, 1] * adj[..., 1, 0]
-               + a[..., 0, 2] * adj[..., 2, 0])
-        # C order: later products and reductions must not see a transposed
-        # layout, which changes their summation order
-        return np.divide(adj, det[..., None, None], order="C")
+        # flat row-major entries; take() keeps every result in C order, as
+        # later products and reductions must not see a transposed layout,
+        # which changes their summation order
+        a = mats.reshape(-1, 9)
+        t1, t2, t3, t4 = _ADJ_TAPS
+        adj = (a.take(t1, axis=1) * a.take(t2, axis=1)
+               - a.take(t3, axis=1) * a.take(t4, axis=1))
+        det = a[:, 0] * adj[:, 0] + a[:, 1] * adj[:, 3] + a[:, 2] * adj[:, 6]
+        return (adj / det[:, None]).reshape(mats.shape)
     return np.linalg.inv(mats)
 
 

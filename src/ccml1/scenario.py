@@ -109,6 +109,15 @@ class Scenario:
         scn.obstacles()
         return scn
 
+    def with_seed(self, seed: int) -> "Scenario":
+        """This scenario with ``sim.seed`` replaced.  The copy shares this
+        instance's built system: nothing but the seed changes."""
+        scn = Scenario(doc=dict(self.doc, sim=dict(self.doc["sim"],
+                                                   seed=int(seed))))
+        scn._system = self._system
+        scn.sim_config()
+        return scn
+
     @classmethod
     def load(cls, path: str) -> "Scenario":
         with open(path, "r", encoding="utf-8") as fh:
@@ -184,11 +193,15 @@ class Scenario:
             return ModelBatch(f[:, 0], f[:, 1:].swapaxes(1, 2), b[:, 0],
                               b[:, 1:])
 
+        def vectorized_rate(xs):
+            return drift_poly.eval_batch(xs)[:, :, 0], b_poly.eval_batch(xs)
+
         unc = self._uncertainty_fn(model_doc.get("uncertainty"), m)
         model = DynamicsModel(state_dim=n, input_dim=m, drift=drift,
                               input_matrix=input_matrix, jac_drift=jac,
                               d_input=d_input, uncertainty=unc,
-                              vectorized=vectorized)
+                              vectorized=vectorized,
+                              vectorized_rate=vectorized_rate)
 
         metric_doc = self.doc.get("metric")
         _require(metric_doc is not None, "inline model needs a 'metric'")

@@ -1,8 +1,8 @@
 """Closed-loop integration, trajectory planning, and tube-containment checks.
 
-One step loop integrates the three systems the tube guarantee compares.
-They differ only in what the adaptive channel applies and in whether the
-true uncertainty acts on the plant:
+One step loop integrates the systems the tube guarantee compares, as the
+rows of a lockstep batch.  They differ only in what the adaptive channel
+applies and in whether the true uncertainty acts on the plant:
 
 * the adaptive closed loop (contraction feedback plus the adaptive
   augmentation, true uncertainty acting on the plant); without the
@@ -13,7 +13,15 @@ true uncertainty acts on the plant:
 * the nominal loop (contraction feedback only, uncertainty ignored), used
   for the exponential-decay checks.
 
-The public ``integrate_*`` functions are thin entry points into that loop.
+:func:`lockstep` advances K such rows (a :class:`Loop` each; the
+``integrate_*`` functions build them) as one (K, n) stack: per step one
+batched geodesic solve, one row-wise feedback law, one RK4 step whose stages
+evaluate the model once for all rows, and row-wise adaptation and filter
+updates.  Every row-wise product is a stacked call of the same shape as one
+row on its own, so each row records the bits it records when run alone.  A
+row whose state diverges, or whose geodesic endpoint leaves the metric's
+domain, stops there: it keeps the steps recorded so far and the reason, and
+drops out of the stack while the other rows go on.
 
 Discretization: one fixed step for everything.  The feedback and the
 adaptive command are held over the step (zero-order hold), the plant and
@@ -27,22 +35,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 import numpy as np
 
 from .ccm_control import feedback_gain
 from .certification import TubeCertificate
-from .errors import DivergenceError, PlannerFailure
+from .errors import (CcmL1Error, DivergenceError, GeodesicDomainError,
+                     MetricDomainError, PlannerFailure)
 from .geodesic import GeodesicSolver
-from .l1_control import (L1Config, L1State, adaptation_step, filter_step,
-                         predictor_rate)
+from .l1_control import (L1Config, L1Rows, L1State, adaptation_step,
+                         filter_step, predictor_rate)
 from .metric import MetricField
-from .models import DesiredTrajectory, DynamicsModel, SafeSet
+from .models import DesiredTrajectory, DynamicsModel, SafeSet, row_dot
 
 
-def rk4_step(fun, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of ``dy/dt = fun(t, y)``."""
-    k1 = fun(t, y)
+def rk4_step(fun, t: float, y: np.ndarray, dt: float,
+             k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical Runge-Kutta step of ``dy/dt = fun(t, y)``; ``k1`` is
+    ``fun(t, y)`` when the caller has it already."""
+    if k1 is None:
+        k1 = fun(t, y)
     k2 = fun(t + 0.5 * dt, y + 0.5 * dt * k1)
     k3 = fun(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = fun(t + dt, y + dt * k3)
@@ -51,7 +64,7 @@ def rk4_step(fun, t: float, y: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass
 class SimConfig:
-    """Fixed-step integration settings shared by all three loops."""
+    """Fixed-step integration settings shared by all rows of a batch."""
 
     dt: float
     t_final: float
@@ -74,7 +87,12 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Everything recorded along one run, on a uniform time grid."""
+    """Everything recorded along one run, on a uniform time grid.
+
+    ``stopped`` is the reason a run stopped before the horizon (a
+    :class:`DivergenceError`, or the domain error of its geodesic), with the
+    steps before it recorded; None for a run that finished.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -86,6 +104,7 @@ class Trajectory:
     xtilde_norm: np.ndarray
     energy: np.ndarray
     warnings: list = dc_field(default_factory=list)
+    stopped: CcmL1Error | None = None
 
     def __post_init__(self):
         k = len(self.times)
@@ -100,144 +119,285 @@ class Trajectory:
         return np.linalg.norm(self.states - self.states_star, axis=1)
 
 
-def _alloc(n_steps: int, n: int, m: int):
-    k = n_steps + 1
-    return dict(times=np.zeros(k), states=np.zeros((k, n)),
-                states_star=np.zeros((k, n)), u_feedback=np.zeros((k, m)),
-                u_adaptive=np.zeros((k, m)), sigma_hat=np.zeros((k, m)),
-                x_hat=np.zeros((k, n)), xtilde_norm=np.zeros(k),
-                energy=np.zeros(k))
+@dataclass(frozen=True)
+class Loop:
+    """What one row of a lockstep batch integrates.
+
+    The adaptive channel applies the L1 filter output (``l1``), the true
+    uncertainty through the ideal first-order low-pass of the given
+    ``bandwidth`` (the reference system), or nothing; ``uncertain`` says
+    whether the true uncertainty acts on the plant.
+    """
+
+    l1: L1Config | None = None
+    bandwidth: float | None = None
+    uncertain: bool = True
 
 
-def _check_alive(x: np.ndarray, limit: float, rec: dict, step: int):
+def integrate_closed_loop(l1: L1Config | None) -> Loop:
+    """The adaptive closed loop under the true uncertainty, as a batch row.
+
+    ``l1=None`` disables the augmentation (contraction feedback alone while
+    the uncertainty still acts on the plant) — the ablation baseline.
+    """
+    return Loop(l1=l1)
+
+
+def integrate_reference(bandwidth: float) -> Loop:
+    """The ideal reference loop, as a batch row: filtered *true* uncertainty
+    on the adaptive channel.  Not implementable (it reads the uncertainty
+    directly); it is the benchmark the certificates bound first."""
+    return Loop(bandwidth=bandwidth)
+
+
+def integrate_nominal_ccm() -> Loop:
+    """Contraction feedback alone on the nominal plant (no uncertainty), as
+    a batch row."""
+    return Loop(uncertain=False)
+
+
+def _alive(x: np.ndarray, limit: float) -> list[bool]:
+    """Which rows of a (K, n) stack are finite with norm at most ``limit``."""
     # numpy's 1-D 2-norm is sqrt(x @ x), so for any finite limit this
     # accepts exactly what `isfinite(x).all() and norm(x) <= limit` accepts
-    s = float(x @ x)
-    if math.isfinite(s) and math.sqrt(s) <= limit:
-        return
-    partial = Trajectory(**{k: v[:step + 1] for k, v in rec.items()})
-    raise DivergenceError(f"state diverged at step {step}", partial=partial)
+    return [math.isfinite(s) and math.sqrt(s) <= limit
+            for s in row_dot(x, x).tolist()]
 
 
 def _no_uncertainty(t, x):
     return 0.0
 
 
-def _integrate(model: DynamicsModel, field: MetricField,
-               traj_star: DesiredTrajectory, x0, cfg: SimConfig,
-               l1: L1Config | None = None, bandwidth: float | None = None,
-               uncertain: bool = True) -> Trajectory:
-    """The one step loop.  The adaptive channel applies the L1 filter output
-    (``l1``), the true uncertainty through the ideal first-order low-pass of
-    the given ``bandwidth`` (the reference system), or nothing; ``uncertain``
-    says whether the true uncertainty acts on the plant.  Without ``l1`` only
-    the n plant states are integrated, and ``x_hat`` records the state."""
-    x = np.asarray(x0, dtype=float).copy()
-    n, m = model.state_dim, model.input_dim
+class _Rows:
+    """The rows of a batch still running: their states, settings and model
+    terms.  Arrays over the L1 rows and over the reference rows are kept
+    apart; ``keep`` drops stopped rows from all of them.
+
+    ``ids`` maps each row to its index in the batch, ``rec`` selects the
+    rows in the batch-sized records (a slice while every row runs),
+    ``l1_sel`` the L1 rows among the running ones and ``l1_rec`` them in
+    the records.
+    """
+
+    def __init__(self, model: DynamicsModel, loops: Sequence[Loop],
+                 x0: np.ndarray, dt: float):
+        k, m = len(loops), model.input_dim
+        self.model_uncertain = model.uncertainty is not None
+        self.ids = np.arange(k)
+        self.x = x0.copy()
+        self.at = model.rate_batch(self.x)      # model terms at the states
+        self.l1 = np.array([lp.l1 is not None for lp in loops])
+        self.ref = np.array([lp.bandwidth is not None for lp in loops])
+        self.uncertain = np.array([lp.uncertain for lp in loops])
+        self.l1_cfg = (L1Rows.stack([lp.l1 for lp in loops if lp.l1])
+                       if self.l1.any() else None)
+        self.est = L1State.start(self.x[self.l1], m)
+        self.ref_decay = np.array([math.exp(-lp.bandwidth * dt) for lp in loops
+                                   if lp.bandwidth is not None])
+        # the reference rows' low-pass of the true uncertainty, and what
+        # each row's adaptive channel applies
+        self.eta = np.zeros((int(self.ref.sum()), m))
+        self.u_a = np.zeros((k, m))
+        self.u_a[self.ref] = -self.eta
+        self.warm = None
+        self._index(k)
+
+    def _index(self, k: int):
+        every = len(self.ids) == k
+        self.rec = slice(None) if every else self.ids
+        l1_at = np.flatnonzero(self.l1)
+        self.has_l1 = len(l1_at) > 0
+        self.all_l1 = len(l1_at) == len(self.ids)
+        self.l1_sel = slice(None) if self.all_l1 else l1_at
+        self.l1_rec = self.rec if self.all_l1 else self.ids[l1_at]
+        self.ref_at = np.flatnonzero(self.ref)
+        self.unc_at = np.flatnonzero(self.uncertain).tolist()
+        # the model's uncertainty (or 0.0 without one) returns m values
+        self.all_uncertain = (bool(self.uncertain.all())
+                              and self.model_uncertain)
+        augmented = self.l1 | self.ref
+        self.augmented = None if augmented.all() else augmented[:, None]
+
+    def keep(self, keep: np.ndarray, k: int):
+        on_l1, on_ref = keep[self.l1], keep[self.ref]
+        if self.l1_cfg is not None:
+            self.l1_cfg = self.l1_cfg.rows(on_l1)
+        self.est = self.est.rows(on_l1)
+        self.ref_decay, self.eta = self.ref_decay[on_ref], self.eta[on_ref]
+        for name in ("ids", "x", "l1", "ref", "uncertain", "u_a"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.at = self.at._replace(drift=self.at.drift[keep],
+                                   input=self.at.input[keep])
+        if self.warm is not None:
+            self.warm = self.warm[keep]
+        self._index(k)
+
+
+def lockstep(model: DynamicsModel, field: MetricField,
+             traj_star: DesiredTrajectory, x0, cfg: SimConfig,
+             loops: Sequence[Loop]) -> list[Trajectory]:
+    """Integrate the given loops in lockstep, one trajectory per loop.
+
+    All rows share the model, metric, desired trajectory and time grid, and
+    start from ``x0`` ((n,) or one row each).  A row that diverges or leaves
+    the metric's domain stops with a partial trajectory whose ``stopped``
+    says why; the others run on.  Without an L1 augmentation a row's
+    ``x_hat`` records its state.
+    """
+    k, n, m = len(loops), model.state_dim, model.input_dim
+    steps, dt = cfg.n_steps, cfg.dt
     solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
                             tol=cfg.geodesic_tol,
                             enforce_domain=cfg.enforce_domain)
-    rec = _alloc(cfg.n_steps, n, m)
-    warnings: list[str] = []
     h = model.uncertainty or _no_uncertainty
-    st = L1State.start(x, m)
-    if bandwidth is not None:
-        decay = math.exp(-bandwidth * cfg.dt)
-        eta = np.zeros(m)    # low-pass state driven by the true uncertainty
-        st.u_adaptive = -eta
-    augmented = l1 is not None or bandwidth is not None
-    curve = None
+    rows = _Rows(model, loops, np.array(np.broadcast_to(
+        np.asarray(x0, dtype=float), (k, n))), dt)
+    times = np.arange(steps + 1) * dt
+    # the desired path and its nominal rate, for every step at once
+    states_star, inputs_star = traj_star.sample(times)
+    rates_star = model.rate_batch(states_star).rate(inputs_star)
+    rec_x, rec_xh = np.zeros((k, steps + 1, n)), np.zeros((k, steps + 1, n))
+    rec_uc, rec_ua, rec_sigma = (np.zeros((k, steps + 1, m))
+                                 for _ in range(3))
+    rec_xt, rec_energy = np.zeros((k, steps + 1)), np.zeros((k, steps + 1))
+    length = np.full(k, steps + 1)
+    stopped: list = [None] * k
+    warnings: list[list[str]] = [[] for _ in range(k)]
 
-    for step in range(cfg.n_steps + 1):
-        t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=curve)
+    def stop(keep: np.ndarray, reason, recorded: int):
+        for i in rows.ids[~keep].tolist():
+            stopped[i], length[i] = reason(), recorded
+        rows.keep(keep, k)
+
+    def rates(tt, z, at, u_held, u_est):
+        """Plant rates of every row, then predictor rates of the L1 rows
+        (``u_est`` is their held input plus their held estimate)."""
+        xx = z[:, :n] if rows.has_l1 else z
+        w = u_held
+        if rows.all_uncertain:
+            w = u_held + (h(tt, xx[0]) if len(xx) == 1
+                          else np.array([h(tt, x) for x in xx]))
+        elif rows.unc_at:
+            w = u_held.copy()
+            for i in rows.unc_at:
+                w[i] = u_held[i] + h(tt, xx[i])
+        plant = at.rate(w)
+        if not rows.has_l1:
+            return plant
+        if rows.all_l1:
+            return np.concatenate([plant, predictor_rate(
+                rows.l1_cfg, at.drift, at.input, u_est, z[:, n:], xx)],
+                axis=1)
+        sel = rows.l1_sel
+        out = np.zeros_like(z)
+        out[:, :n] = plant
+        out[sel, n:] = predictor_rate(rows.l1_cfg, at.drift[sel],
+                                      at.input[sel], u_est, z[sel, n:],
+                                      xx[sel])
+        return out
+
+    for step in range(steps + 1):
+        t = step * dt
+        here = slice(step, step + 1)
+        while len(rows.ids):
+            try:
+                curve = solver.solve(states_star[here], rows.x,
+                                     warm=rows.warm)
+                break
+            except (GeodesicDomainError, MetricDomainError) as exc:
+                if exc.row is None:
+                    raise
+                keep = np.ones(len(rows.ids), dtype=bool)
+                keep[exc.row] = False
+                stop(keep, lambda: exc, step)
+        if not len(rows.ids):
+            break
+        rows.warm = curve.states
+        fb = feedback_gain(field, curve, rates_star[here],
+                           rows.at.rate(inputs_star[here]), rows.at.input)
         if not curve.converged:
-            warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
+            for i in np.flatnonzero(~curve.converged_rows).tolist():
+                warnings[rows.ids[i]].append(
+                    f"step {step}: geodesic not converged "
+                    f"(grad {curve.grad_norm[i]:.2e})")
         if fb.infeasible:
-            warnings.append(f"step {step}: feedback constraint degenerated")
-        u_c = us + fb.gain
-        u_a = st.u_adaptive.copy()
+            for i in np.flatnonzero(fb.infeasible_rows).tolist():
+                warnings[rows.ids[i]].append(
+                    f"step {step}: feedback constraint degenerated")
+        u_c = inputs_star[step] + fb.gain
 
-        rec["times"][step] = t
-        rec["states"][step] = x
-        rec["states_star"][step] = xs
-        rec["u_feedback"][step] = u_c
-        rec["u_adaptive"][step] = u_a
-        rec["sigma_hat"][step] = st.sigma_hat
-        rec["x_hat"][step] = st.x_hat
-        if l1 is not None:
-            rec["xtilde_norm"][step] = np.linalg.norm(st.prediction_error(x))
-        rec["energy"][step] = curve.energy
-        if step == cfg.n_steps:
+        x, est, rec = rows.x, rows.est, rows.rec
+        rec_x[rec, step] = x
+        rec_uc[rec, step] = u_c
+        rec_ua[rec, step] = rows.u_a
+        rec_energy[rec, step] = curve.energy
+        if not rows.all_l1:
+            rec_xh[rec, step] = x
+        if rows.has_l1:
+            rec_sigma[rows.l1_rec, step] = est.sigma_hat
+            rec_xh[rows.l1_rec, step] = est.x_hat
+            x_tilde = est.prediction_error(x[rows.l1_sel])
+            rec_xt[rows.l1_rec, step] = np.sqrt(row_dot(x_tilde, x_tilde))
+        if step == steps:
             break
 
-        # the unaugmented loops add no zero vector: -0.0 + 0.0 is +0.0
-        u_held = u_c + u_a if augmented else u_c
-
-        def plant_rate(tt, xx, drift, b_mat):
-            return drift + b_mat @ (u_held + h(tt, xx) if uncertain
-                                    else u_held)
-
-        if l1 is None:
-            x = rk4_step(lambda tt, xx: plant_rate(
-                tt, xx, model.drift(xx), model.input_matrix(xx)),
-                t, x, cfg.dt)
-            st.x_hat = x
+        # the unaugmented rows add no zero vector: -0.0 + 0.0 is +0.0
+        u_held = u_c + rows.u_a
+        if rows.augmented is not None:
+            u_held = np.where(rows.augmented, u_held, u_c)
+        if not rows.has_l1:
+            z = x
+        elif rows.all_l1:
+            z = np.concatenate([x, est.x_hat], axis=1)
         else:
-            sigma_held = st.sigma_hat.copy()
+            z = np.zeros((len(rows.ids), 2 * n))
+            z[:, :n] = x
+            z[rows.l1_sel, n:] = est.x_hat
+        u_est = u_held[rows.l1_sel] + est.sigma_hat if rows.has_l1 else None
 
-            def joint_rate(tt, z):
-                xx, xh = z[:n], z[n:]
-                drift, b_mat = model.drift(xx), model.input_matrix(xx)
-                return np.concatenate([
-                    plant_rate(tt, xx, drift, b_mat),
-                    predictor_rate(l1, drift, b_mat, u_held, sigma_held, xh,
-                                   xx)])
+        def fun(tt, zz):
+            at = model.rate_batch(zz[:, :n] if rows.has_l1 else zz)
+            return rates(tt, zz, at, u_held, u_est)
 
-            z = rk4_step(joint_rate, t, np.concatenate([x, st.x_hat]),
-                         cfg.dt)
-            x, st.x_hat = z[:n].copy(), z[n:].copy()
-        _check_alive(x, cfg.divergence_limit, rec, step)
+        z = rk4_step(fun, t, z, dt, k1=rates(t, z, rows.at, u_held, u_est))
+        if rows.has_l1:
+            rows.x = z[:, :n].copy()
+            est.x_hat = z[rows.l1_sel, n:]
+        else:
+            rows.x = z
+        alive = _alive(rows.x, cfg.divergence_limit)
+        if not all(alive):
+            stop(np.array(alive), lambda: DivergenceError(
+                f"state diverged at step {step}"), step + 1)
+            if not len(rows.ids):
+                break
+        x, est = rows.x, rows.est
+        rows.at = model.rate_batch(x)
 
-        if l1 is not None:
-            adaptation_step(l1, st, x, model.input_matrix(x), cfg.dt)
-            filter_step(l1, st, cfg.dt)
-        elif bandwidth is not None:
-            eta = decay * eta + (1.0 - decay) * h(t + cfg.dt, x)
-            st.u_adaptive = -eta
+        if rows.has_l1:
+            sel = rows.l1_sel
+            adaptation_step(rows.l1_cfg, est, x[sel], rows.at.input[sel], dt)
+            filter_step(rows.l1_cfg, est, dt)
+            if rows.all_l1:
+                rows.u_a = est.u_adaptive
+            else:
+                rows.u_a[sel] = est.u_adaptive
+        if len(rows.ref_at):
+            hv = np.array([np.broadcast_to(h(t + dt, x[i]), (m,))
+                           for i in rows.ref_at.tolist()])
+            decay = rows.ref_decay[:, None]
+            rows.eta = decay * rows.eta + (1.0 - decay) * hv
+            rows.u_a[rows.ref_at] = -rows.eta
 
-    return Trajectory(**rec, warnings=warnings)
-
-
-def integrate_closed_loop(model: DynamicsModel, field: MetricField,
-                          l1: L1Config | None, traj_star: DesiredTrajectory,
-                          x0, cfg: SimConfig) -> Trajectory:
-    """Adaptive closed loop under the true uncertainty.
-
-    ``l1=None`` disables the augmentation (contraction feedback alone while
-    the uncertainty still acts on the plant) — the ablation baseline.
-    """
-    return _integrate(model, field, traj_star, x0, cfg, l1=l1)
-
-
-def integrate_reference(model: DynamicsModel, field: MetricField,
-                        bandwidth: float, traj_star: DesiredTrajectory,
-                        x0, cfg: SimConfig) -> Trajectory:
-    """Ideal reference loop: filtered *true* uncertainty on the adaptive
-    channel.  Not implementable (it reads the uncertainty directly); it is
-    the benchmark the certificates bound first."""
-    return _integrate(model, field, traj_star, x0, cfg, bandwidth=bandwidth)
-
-
-def integrate_nominal_ccm(model: DynamicsModel, field: MetricField,
-                          traj_star: DesiredTrajectory, x0,
-                          cfg: SimConfig) -> Trajectory:
-    """Contraction feedback alone on the nominal plant (no uncertainty)."""
-    return _integrate(model, field, traj_star, x0, cfg, uncertain=False)
+    return [Trajectory(times=times[:size], states=rec_x[i, :size],
+                       states_star=states_star[:size],
+                       u_feedback=rec_uc[i, :size],
+                       u_adaptive=rec_ua[i, :size],
+                       sigma_hat=rec_sigma[i, :size], x_hat=rec_xh[i, :size],
+                       xtilde_norm=rec_xt[i, :size],
+                       energy=rec_energy[i, :size], warnings=warnings[i],
+                       stopped=stopped[i])
+            for i, size in enumerate(length.tolist())]
 
 
 # --- planning ----------------------------------------------------------------
@@ -438,7 +598,7 @@ class ContainmentReport:
     n_radius_violations: int
     n_shrinking_violations: int
     first_violation_time: float | None
-    max_dist: float
+    max_dist: float | None
     in_safe_set: np.ndarray | None = None
     tube_inside_safe_set: bool | None = None
 
@@ -461,27 +621,37 @@ class ContainmentReport:
         }
 
 
+def time_radii(cert: TubeCertificate, times: np.ndarray):
+    """The certificate's total radius ``delta_t`` and transient radius
+    ``mu`` at each time of a grid."""
+    mu = np.array([cert.mu(t) for t in times.tolist()])
+    return mu + cert.rho_a, mu
+
+
 def containment(traj: Trajectory, cert: TubeCertificate,
-                kind: str = "actual",
-                safe_set: SafeSet | None = None) -> ContainmentReport:
+                kind: str = "actual", safe_set: SafeSet | None = None,
+                radii=None) -> ContainmentReport:
     """Check a run against its certificate.
 
     ``kind="actual"`` compares against the full radius and the shrinking
     total bound; ``kind="reference"`` against the reference radius and the
-    transient bound.  Safe-set checks use the tube logic: the desired path
-    eroded by the radius must stay inside, and each visited state is also
-    checked directly.
+    transient bound.  ``radii`` is :func:`time_radii` of the certificate on
+    a grid at least as long as the run, when the caller has it already.
+    Safe-set checks use the tube logic: the desired path eroded by the
+    radius must stay inside, and each visited state is also checked
+    directly.  A run that recorded no step has no ``max_dist``.
     """
     dist = traj.dist
     times = traj.times
+    if kind not in ("actual", "reference"):
+        raise ValueError("kind must be 'actual' or 'reference'")
+    delta, mu = radii if radii is not None else time_radii(cert, times)
     if kind == "actual":
         radius = cert.rho
-        shrink = np.array([cert.delta_t(t) for t in times])
-    elif kind == "reference":
-        radius = cert.rho_r
-        shrink = np.array([cert.mu(t) for t in times])
+        shrink = delta[:len(times)]
     else:
-        raise ValueError("kind must be 'actual' or 'reference'")
+        radius = cert.rho_r
+        shrink = mu[:len(times)]
 
     over_r = dist > radius
     over_s = dist > shrink
@@ -499,5 +669,6 @@ def containment(traj: Trajectory, cert: TubeCertificate,
         times=times, dist=dist, radius=radius, shrinking=shrink, kind=kind,
         n_radius_violations=int(over_r.sum()),
         n_shrinking_violations=int(over_s.sum()),
-        first_violation_time=first, max_dist=float(dist.max()),
+        first_violation_time=first,
+        max_dist=float(dist.max()) if len(dist) else None,
         in_safe_set=in_safe, tube_inside_safe_set=tube_ok)

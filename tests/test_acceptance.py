@@ -18,7 +18,8 @@ from ccml1.l1_control import L1Config, projection_map
 from ccml1.metric import ccm_check
 from ccml1.models import DesiredTrajectory, SafeSet
 from ccml1.sim import (SimConfig, integrate_closed_loop,
-                       integrate_nominal_ccm, integrate_reference, rk4_step)
+                       integrate_nominal_ccm, integrate_reference, lockstep,
+                       rk4_step)
 
 EX1_UNC_BOUND = 0.1          # shipped matched-uncertainty radius, 3-state plant
 
@@ -41,13 +42,18 @@ def _ex1_target(t_final: float, dt: float) -> DesiredTrajectory:
 EX1_X0 = np.array([0.01, -0.01, 0.01])
 
 
+def _solve(solver, p, q):
+    """One geodesic, as a batch of one row."""
+    return solver.solve(p[None], q[None])
+
+
 @pytest.fixture(scope="module")
 def ex1_full_run(ex1):
     """10-second adaptive run at the shipped tuning, with its wall time."""
     cfg = SimConfig(dt=1e-4, t_final=10.0, enforce_domain=False)
     start = time.perf_counter()
-    traj = integrate_closed_loop(ex1.model, ex1.metric, _ex1_l1(5e6),
-                                 _ex1_target(10.0, 1e-4), EX1_X0, cfg)
+    (traj,) = lockstep(ex1.model, ex1.metric, _ex1_target(10.0, 1e-4),
+                       EX1_X0, cfg, [integrate_closed_loop(_ex1_l1(5e6))])
     return traj, time.perf_counter() - start
 
 
@@ -59,18 +65,19 @@ def ex1_ablation_run(ex1):
     box, so this run (like the shipped scenario) does not enforce it.
     """
     cfg = SimConfig(dt=1e-4, t_final=10.0, enforce_domain=False)
-    return integrate_closed_loop(ex1.model, ex1.metric, None,
-                                 _ex1_target(10.0, 1e-4), EX1_X0, cfg)
+    (traj,) = lockstep(ex1.model, ex1.metric, _ex1_target(10.0, 1e-4),
+                       EX1_X0, cfg, [integrate_closed_loop(None)])
+    return traj
 
 
 @pytest.fixture(scope="module")
 def gamma_sweep_runs(ex1):
-    """3-second adaptive runs across four adaptation rates."""
+    """3-second adaptive runs across four adaptation rates, as one batch."""
     cfg = SimConfig(dt=1e-4, t_final=3.0)
-    target = _ex1_target(3.0, 1e-4)
-    return {gamma: integrate_closed_loop(ex1.model, ex1.metric,
-                                         _ex1_l1(gamma), target, EX1_X0, cfg)
-            for gamma in (1e4, 1e5, 1e6, 1e7)}
+    gammas = (1e4, 1e5, 1e6, 1e7)
+    runs = lockstep(ex1.model, ex1.metric, _ex1_target(3.0, 1e-4), EX1_X0,
+                    cfg, [integrate_closed_loop(_ex1_l1(g)) for g in gammas])
+    return dict(zip(gammas, runs))
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +88,9 @@ def ex2_tube_runs(ex2, ex2_plan_fine):
     l1 = L1Config(state_dim=2, input_dim=1, bandwidth=90.0,
                   adaptation_gain=4e7, unc_bound=ex2.bounds.unc_sup)
     start = time.perf_counter()
-    closed = integrate_closed_loop(ex2.model, ex2.metric, l1, ex2_plan_fine,
-                                   x0, cfg)
-    ref = integrate_reference(ex2.model, ex2.metric, 90.0, ex2_plan_fine,
-                              x0, cfg)
+    closed, ref = lockstep(ex2.model, ex2.metric, ex2_plan_fine, x0, cfg,
+                           [integrate_closed_loop(l1),
+                            integrate_reference(90.0)])
     return closed, ref, time.perf_counter() - start
 
 
@@ -152,8 +158,8 @@ def test_criterion_03_nominal_exponential_decay(ex1, ex2, ex2_plan_fine,
          SimConfig(dt=1e-3, t_final=2.0)),
     ]
     for sysb, target, x0, cfg in cases:
-        traj = integrate_nominal_ccm(sysb.model, sysb.metric, target, x0,
-                                     cfg)
+        (traj,) = lockstep(sysb.model, sysb.metric, target, x0, cfg,
+                           [integrate_nominal_ccm()])
         lam = sysb.metric.contraction_rate
         energy_bound = traj.energy[0] * np.exp(-2.0 * lam * traj.times)
         assert np.all(traj.energy <= energy_bound * 1.05 + 1e-18)
@@ -191,8 +197,8 @@ def test_criterion_05_geodesic_oracles(ex1, ex2, capsys):
     for p, q in pairs:
         d = q - p
         closed_form = float(d @ m_const @ d)
-        curve = solver.solve(p, q)
-        worst_flat = max(worst_flat, abs(curve.energy - closed_form))
+        curve = _solve(solver, p, q)
+        worst_flat = max(worst_flat, abs(curve.energy[0] - closed_form))
     assert worst_flat <= 1e-8
 
     # the iterative path must agree with the same closed form (it accepts
@@ -201,9 +207,10 @@ def test_criterion_05_geodesic_oracles(ex1, ex2, capsys):
     worst_gen = 0.0
     for p, q in pairs[:50]:
         d = q - p
-        curve = generic.solve(p, q)
+        curve = _solve(generic, p, q)
         assert curve.converged
-        worst_gen = max(worst_gen, abs(curve.energy - float(d @ m_const @ d)))
+        worst_gen = max(worst_gen,
+                        abs(curve.energy[0] - float(d @ m_const @ d)))
     assert worst_gen <= 1e-8
 
     solver1 = GeodesicSolver(ex1.metric)
@@ -211,7 +218,7 @@ def test_criterion_05_geodesic_oracles(ex1, ex2, capsys):
     pairs1 = rng.uniform(-0.05, 0.05, size=(1000, 2, 3))
     for p, q in pairs1:
         gap2 = float(np.sum((q - p) ** 2))
-        energy = solver1.solve(p, q).energy
+        energy = _solve(solver1, p, q).energy[0]
         assert lo * gap2 * 0.99 <= energy <= hi * gap2 * 1.01
     _announce(capsys, 5, f"flat-metric worst |E - closed form| "
                          f"{worst_flat:.2e} (iterative {worst_gen:.2e}) "
@@ -332,10 +339,10 @@ def test_criterion_10_determinism_and_order(ex1, ex2, capsys):
     fourth-order convergence on a smooth unforced flow."""
     cfg = SimConfig(dt=1e-3, t_final=0.5, seed=0)
     target = _ex1_target(0.5, 1e-3)
-    a = integrate_closed_loop(ex1.model, ex1.metric, _ex1_l1(1e5), target,
-                              EX1_X0, cfg)
-    b = integrate_closed_loop(ex1.model, ex1.metric, _ex1_l1(1e5), target,
-                              EX1_X0, cfg)
+    (a,) = lockstep(ex1.model, ex1.metric, target, EX1_X0, cfg,
+                    [integrate_closed_loop(_ex1_l1(1e5))])
+    (b,) = lockstep(ex1.model, ex1.metric, target, EX1_X0, cfg,
+                    [integrate_closed_loop(_ex1_l1(1e5))])
     for name in ("times", "states", "states_star", "u_feedback",
                  "u_adaptive", "sigma_hat", "x_hat", "xtilde_norm",
                  "energy"):

@@ -10,14 +10,31 @@ from ccml1.models import DesiredTrajectory, DynamicsModel, SafeSet
 from ccml1.sim import rk4_step
 
 
+def _solve(solver, p, q, warm=None):
+    """One geodesic, as a batch of one row."""
+    return solver.solve(np.asarray(p, dtype=float)[None],
+                        np.asarray(q, dtype=float)[None],
+                        warm=None if warm is None else warm.states)
+
+
+def _feedback(model, field, curve, u_des):
+    """Feedback of a batch of curves under one desired input."""
+    k = len(curve.energy)
+    at = model.rate_batch(np.concatenate([curve.states[:, 0],
+                                          curve.states[:, -1]]))
+    rates = at.rate(np.broadcast_to(u_des, (2 * k, model.input_dim)))
+    return feedback_gain(field, curve, rates[:k], rates[k:], at.input[k:])
+
+
 def _constraint_terms(sysb, curve, u_des):
     """Recompute the half-space (a, b) the gain must satisfy: a.k <= b."""
     field, model = sysb.metric, sysb.model
-    x_des, x = curve.states[0], curve.states[-1]
+    x_des, x = curve.states[0, 0], curve.states[0, -1]
     lam = field.contraction_rate
-    v0, v1 = curve.endpoint_velocity("start"), curve.endpoint_velocity("end")
+    v0 = curve.endpoint_velocity("start")[0]
+    v1 = curve.endpoint_velocity("end")[0]
     a = 2.0 * model.input_matrix(x).T @ (field.metric(x) @ v1)
-    b = (-2.0 * lam * curve.energy
+    b = (-2.0 * lam * curve.energy[0]
          - 2.0 * float(v1 @ (field.metric(x) @ model.nominal_rate(x, u_des)))
          + 2.0 * float(v0 @ (field.metric(x_des)
                              @ model.nominal_rate(x_des, u_des))))
@@ -34,18 +51,19 @@ def test_gain_satisfies_decay_constraint(name, ex1, ex2):
         x_des, x = rng.uniform(-scale, scale,
                                size=(2, sysb.model.state_dim))
         u_des = rng.uniform(-0.5, 0.5, size=1)
-        curve = solver.solve(x_des, x)
-        res = feedback_gain(sysb.model, sysb.metric, curve, u_des)
+        curve = _solve(solver, x_des, x)
+        res = _feedback(sysb.model, sysb.metric, curve, u_des)
         a, b = _constraint_terms(sysb, curve, u_des)
-        assert float(a @ res.gain) <= b + 1e-9 * max(1.0, abs(b))
+        gain = res.gain[0]
+        assert float(a @ gain) <= b + 1e-9 * max(1.0, abs(b))
         # min-norm: zero gain whenever the unforced decay already suffices
         if b >= 0.0:
             assert not res.active
-            np.testing.assert_array_equal(res.gain, np.zeros(1))
+            np.testing.assert_array_equal(gain, np.zeros(1))
         else:
             # active constraint is met with equality (projection onto the
             # half-space boundary)
-            assert float(a @ res.gain) == pytest.approx(b, rel=1e-9)
+            assert float(a @ gain) == pytest.approx(b, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
@@ -61,13 +79,13 @@ def test_closed_loop_energy_decays_at_declared_rate(name, ex1, ex2):
     x = np.array([0.03, -0.02, 0.04])[:model.state_dim] \
         if name == "ex1" else np.array([1.5, -1.0])
     dt = 1e-4
-    curve = solver.solve(x_des, x)
-    e0 = curve.energy
+    curve = _solve(solver, x_des, x)
+    e0 = curve.energy[0]
     for _ in range(200):
-        curve = solver.solve(x_des, x, warm=curve)
-        u = u_des + feedback_gain(model, field, curve, u_des).gain
+        curve = _solve(solver, x_des, x, warm=curve)
+        u = u_des + _feedback(model, field, curve, u_des).gain[0]
         x = rk4_step(lambda t, y: model.nominal_rate(y, u), 0.0, x, dt)
-    e1 = solver.solve(x_des, x, warm=curve).energy
+    e1 = _solve(solver, x_des, x, warm=curve).energy[0]
     expected = e0 * np.exp(-2.0 * lam * 200 * dt)
     assert e1 <= expected * 1.002
     assert e1 >= expected * 0.90  # min-norm does not over-contract much
@@ -76,10 +94,10 @@ def test_closed_loop_energy_decays_at_declared_rate(name, ex1, ex2):
 def test_on_trajectory_gain_is_zero(ex1):
     solver = GeodesicSolver(ex1.metric)
     x = np.array([0.02, 0.01, -0.03])
-    curve = solver.solve(x, x)
-    res = feedback_gain(ex1.model, ex1.metric, curve, np.zeros(1))
+    curve = _solve(solver, x, x)
+    res = _feedback(ex1.model, ex1.metric, curve, np.zeros(1))
     assert not res.active
-    np.testing.assert_array_equal(res.gain, np.zeros(1))
+    np.testing.assert_array_equal(res.gain, np.zeros((1, 1)))
 
 
 def test_degenerate_constraint_normal_flags_infeasible():
@@ -91,19 +109,19 @@ def test_degenerate_constraint_normal_flags_infeasible():
         domain=SafeSet.box(np.zeros(1), 10.0), validate=False)
     model = DynamicsModel(1, 1, drift=lambda x: x.copy(),
                           input_matrix=lambda x: np.zeros((1, 1)))
-    curve = GeodesicSolver(field).solve(np.zeros(1), np.array([1.0]))
-    res = feedback_gain(model, field, curve, np.zeros(1))
+    curve = _solve(GeodesicSolver(field), np.zeros(1), np.array([1.0]))
+    res = _feedback(model, field, curve, np.zeros(1))
     assert res.infeasible
-    np.testing.assert_array_equal(res.gain, np.zeros(1))
+    np.testing.assert_array_equal(res.gain, np.zeros((1, 1)))
 
 
 def test_warm_started_gain_equals_cold(ex2):
     solver = GeodesicSolver(ex2.metric)
     x_des, u_des, x = np.zeros(2), np.zeros(1), np.array([1.0, 1.0])
-    cold = solver.solve(x_des, x)
-    warm = solver.solve(x_des, x, warm=cold)
-    r1 = feedback_gain(ex2.model, ex2.metric, cold, u_des)
-    r2 = feedback_gain(ex2.model, ex2.metric, warm, u_des)
+    cold = _solve(solver, x_des, x)
+    warm = _solve(solver, x_des, x, warm=cold)
+    r1 = _feedback(ex2.model, ex2.metric, cold, u_des)
+    r2 = _feedback(ex2.model, ex2.metric, warm, u_des)
     np.testing.assert_allclose(r1.gain, r2.gain, atol=1e-10)
 
 
@@ -119,10 +137,10 @@ def test_tracking_a_moving_target(ex2, ex2_plan_fine):
     curve = None
     for k in range(300):
         t = k * dt
-        curve = solver.solve(traj.state(t), x, warm=curve)
-        res = feedback_gain(model, field, curve, traj.input(t))
-        energies.append(res.energy)
-        u = traj.input(t) + res.gain
+        curve = _solve(solver, traj.state(t), x, warm=curve)
+        res = _feedback(model, field, curve, traj.input(t))
+        energies.append(curve.energy[0])
+        u = traj.input(t) + res.gain[0]
         x = rk4_step(lambda tt, y: model.nominal_rate(y, u), t, x, dt)
     lam = field.contraction_rate
     assert energies[-1] <= np.exp(-2.0 * lam * 300 * dt) * energies[0] * 1.01
@@ -142,13 +160,14 @@ def test_gain_matches_recomputed_endpoint_metrics(name, ex1, ex2):
         x = x_des if k == 0 else rng.uniform(-scale, scale,
                                              size=sysb.model.state_dim)
         u_des = rng.uniform(-0.5, 0.5, size=1)
-        curve = solver.solve(x_des, x, warm=warm)
+        curve = _solve(solver, x_des, x, warm=warm)
         warm = curve
-        res = feedback_gain(sysb.model, sysb.metric, curve, u_des)
+        res = _feedback(sysb.model, sysb.metric, curve, u_des)
         a, b = _constraint_terms(sysb, curve, u_des)
         expected = np.zeros(1) if b >= 0.0 else (b / float(a @ a)) * a
-        assert res.constraint_slack == pytest.approx(b, rel=1e-12, abs=1e-300)
-        np.testing.assert_allclose(res.gain, expected, rtol=1e-12)
+        assert res.constraint_slack[0] == pytest.approx(b, rel=1e-12,
+                                                        abs=1e-300)
+        np.testing.assert_allclose(res.gain[0], expected, rtol=1e-12)
 
 
 def test_feedback_makes_no_metric_evaluations(ex1, monkeypatch):
@@ -181,9 +200,10 @@ def test_feedback_makes_no_metric_evaluations(ex1, monkeypatch):
                                            t_final=0.01, dt=1e-3)
     l1 = L1Config(state_dim=3, input_dim=1, bandwidth=50.0,
                   adaptation_gain=1e6, unc_bound=0.1)
-    sim.integrate_closed_loop(ex1.model, ex1.metric, l1, traj_star,
-                              np.array([0.02, -0.01, 0.015]),
-                              sim.SimConfig(dt=1e-4, t_final=5e-3))
+    sim.lockstep(ex1.model, ex1.metric, traj_star,
+                 np.array([0.02, -0.01, 0.015]),
+                 sim.SimConfig(dt=1e-4, t_final=5e-3),
+                 [sim.integrate_closed_loop(l1)])
     assert counts["feedback"] == 51
     assert counts["total"] > 0
     assert counts["in_feedback"] == 0

@@ -230,8 +230,50 @@ class TestSimulate:
         assert {"closed_loop", "reference", "nominal"} <= set(report)
         assert report["closed_loop"]["diverged"] == report["diverged"]
 
+    def test_domain_exit_stops_only_its_loop(self, tmp_path, capsys):
+        # the feedback-only closed loop leaves the metric's validated box
+        # near step 2527; the reference and nominal loops stay inside
+        doc = dict(builtin_scenario("ex1").doc)
+        doc["sim"] = dict(doc["sim"], t_final=3.0, dt=1e-3,
+                          enforce_domain=True)
+        path = _write(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(path), "--out", str(out),
+                   "--no-l1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "outside the metric's validated domain" in err
+        report = json.loads((out / "containment.json").read_text())
+        assert report["closed_loop"]["diverged"] == report["diverged"]
+        assert "outside the metric's validated domain" in report["diverged"]
+        _, rows = _read_csv(out / "closed_loop.csv")
+        assert 1 <= len(rows) < 3001                 # partial history
+        for name in ("reference", "nominal"):
+            assert "diverged" not in report[name]
+            _, rows = _read_csv(out / f"{name}.csv")
+            assert len(rows) == 3001
+        _, rows = _read_csv(out / "plot_bounds.csv")
+        assert 1 <= len(rows) < 3001
+
 
 class TestSweep:
+    def test_two_tube_radii_and_a_failing_row_match_golden_bytes(
+            self, tmp_path):
+        # two eps values give two tube radii, so two batches of loops; the
+        # negative gain fails its row before any loop runs
+        doc = dict(builtin_scenario("ex1").doc)
+        doc["sim"] = dict(doc["sim"], t_final=0.05)
+        doc["sweep"] = {"omega": [30.0, 50.0], "gamma": [1e5, -1.0, 1e6],
+                        "eps": [0.01, 0.02]}
+        path = _write(tmp_path, doc)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--scenario", str(path), "--out", str(out),
+                   "--seed", "0"])
+        assert rc == 0
+        golden = DATA / "sweep_ex1_two_tube_radii_seed0.csv"
+        assert (out / "sweep.csv").read_bytes() == golden.read_bytes()
+
     def test_grid_rows_in_order_with_failures_inline(self, tmp_path, capsys):
         doc = _short_ex1_doc(sweep={"omega": [1.99, 30.0, 60.0],
                                     "gamma": [1e4]})

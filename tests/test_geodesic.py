@@ -1,5 +1,5 @@
 """Geodesic solves: exactness on constant metrics, energy properties,
-convergence behavior, and domain handling."""
+convergence behavior, domain handling, and batches of rows."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,13 @@ from ccml1.models import SafeSet
 
 coord = st.floats(min_value=-2.0, max_value=2.0,
                   allow_nan=False, allow_infinity=False)
+
+
+def _solve(solver, p, q, warm=None):
+    """One geodesic, as a batch of one row."""
+    return solver.solve(np.asarray(p, dtype=float)[None],
+                        np.asarray(q, dtype=float)[None],
+                        warm=None if warm is None else warm.states)
 
 
 def _flat_field(w=None, dim=2):
@@ -32,11 +39,11 @@ FROZEN_EX2_ENERGY = 0.24810303185853522     # [1,0] -> origin
 
 
 def test_frozen_energy_values(ex1, ex2):
-    c1 = GeodesicSolver(ex1.metric).solve(np.array([0.01, -0.01, 0.01]),
-                                          np.zeros(3))
+    c1 = _solve(GeodesicSolver(ex1.metric), np.array([0.01, -0.01, 0.01]),
+                np.zeros(3))
     assert c1.converged
     assert c1.energy == pytest.approx(FROZEN_EX1_ENERGY, rel=1e-9)
-    c2 = GeodesicSolver(ex2.metric).solve(np.array([1.0, 0.0]), np.zeros(2))
+    c2 = _solve(GeodesicSolver(ex2.metric), np.array([1.0, 0.0]), np.zeros(2))
     assert c2.energy == pytest.approx(FROZEN_EX2_ENERGY, rel=1e-12)
 
 
@@ -54,13 +61,13 @@ class TestConstantMetricExactness:
         rng = np.random.default_rng(42)
         for _ in range(200):
             p, q = rng.uniform(-2.0, 2.0, size=(2, 2))
-            curve = solver.solve(p, q)
+            curve = _solve(solver, p, q)
             assert curve.iterations == 0  # recognized as exactly solvable
             assert abs(curve.energy - self._closed_form(field, p, q)) \
                 <= 1e-8 * max(1.0, curve.energy)
             # straight line through state space
             chord = p + curve.s_nodes[:, None] * (q - p)
-            np.testing.assert_allclose(curve.states, chord, atol=1e-12)
+            np.testing.assert_allclose(curve.states[0], chord, atol=1e-12)
 
     def test_generic_newton_path_matches_shortcut(self):
         field = _flat_field(self.W)
@@ -68,7 +75,7 @@ class TestConstantMetricExactness:
         rng = np.random.default_rng(7)
         for _ in range(50):
             p, q = rng.uniform(-2.0, 2.0, size=(2, 2))
-            curve = generic.solve(p, q)
+            curve = _solve(generic, p, q)
             assert curve.converged
             assert abs(curve.energy - self._closed_form(field, p, q)) \
                 <= 1e-8 * max(1.0, curve.energy)
@@ -79,8 +86,8 @@ class TestConstantMetricExactness:
         solver = GeodesicSolver(field)
         p = np.array([px, py])
         d = np.array([0.3, -0.4])
-        base = solver.solve(p, p + d).energy
-        scaled = solver.solve(p, p + scale * d).energy
+        base = _solve(solver, p, p + d).energy[0]
+        scaled = _solve(solver, p, p + scale * d).energy[0]
         assert scaled == pytest.approx(scale ** 2 * base, rel=1e-9,
                                        abs=1e-12)
 
@@ -91,7 +98,7 @@ class TestVaryingMetric:
         rng = np.random.default_rng(1)
         for _ in range(100):
             p, q = rng.uniform(-0.05, 0.05, size=(2, 3))
-            curve = solver.solve(p, q)
+            curve = _solve(solver, p, q)
             gap2 = float((q - p) @ (q - p))
             assert curve.energy >= ex1.metric.eig_floor * gap2 * (1 - 1e-9)
             assert curve.energy <= ex1.metric.eig_ceil * gap2 * (1 + 1e-9)
@@ -100,8 +107,8 @@ class TestVaryingMetric:
         solver = GeodesicSolver(ex1.metric)
         p = np.array([0.03, -0.02, 0.04])
         q = np.array([-0.04, 0.01, -0.02])
-        assert solver.solve(p, q).energy == pytest.approx(
-            solver.solve(q, p).energy, rel=1e-8)
+        assert _solve(solver, p, q).energy[0] == pytest.approx(
+            _solve(solver, q, p).energy[0], rel=1e-8)
 
     def test_beats_straight_line_parametrization(self, ex1):
         # the optimized path can only lower the energy functional relative
@@ -109,21 +116,21 @@ class TestVaryingMetric:
         solver = GeodesicSolver(ex1.metric)
         p = np.array([0.045, -0.045, 0.045])
         q = -p
-        curve = solver.solve(p, q)
+        curve = _solve(solver, p, q)
         chord = p + solver.s_nodes[:, None] * (q - p)
-        e_chord = solver._eval(chord)[0]
+        e_chord = solver._eval(chord[None])[0][0]
         assert curve.energy <= e_chord + 1e-12
 
     def test_warm_start_reuses_previous_curve(self, ex1):
         solver = GeodesicSolver(ex1.metric)
         p = np.array([0.04, -0.03, 0.02])
-        cold = solver.solve(p, np.zeros(3))
-        warm = solver.solve(p * 0.999, np.zeros(3), warm=cold)
+        cold = _solve(solver, p, np.zeros(3))
+        warm = _solve(solver, p * 0.999, np.zeros(3), warm=cold)
         assert warm.converged
         assert warm.iterations <= cold.iterations
 
     def test_degenerate_endpoints(self, ex1):
-        curve = GeodesicSolver(ex1.metric).solve(np.zeros(3), np.zeros(3))
+        curve = _solve(GeodesicSolver(ex1.metric), np.zeros(3), np.zeros(3))
         assert curve.energy == 0.0
         assert curve.converged
 
@@ -131,8 +138,8 @@ class TestVaryingMetric:
 class TestDomainHandling:
     def test_outside_domain_raises(self, ex1):
         with pytest.raises(GeodesicDomainError):
-            GeodesicSolver(ex1.metric).solve(np.zeros(3),
-                                             np.array([0.2, 0.0, 0.0]))
+            _solve(GeodesicSolver(ex1.metric), np.zeros(3),
+                   np.array([0.2, 0.0, 0.0]))
 
     @pytest.mark.parametrize("p,q,named", [
         ([0.2, 0.0, 0.0], [0.0, 0.3, 0.0], "0.2"),   # both out: p first
@@ -141,25 +148,25 @@ class TestDomainHandling:
     ])
     def test_outside_endpoint_is_named(self, ex1, p, q, named):
         with pytest.raises(GeodesicDomainError, match=f"endpoint .*{named}"):
-            GeodesicSolver(ex1.metric).solve(np.array(p), np.array(q))
+            _solve(GeodesicSolver(ex1.metric), p, q)
         # the box boundary itself, up to the 1e-9 slack, is inside
-        GeodesicSolver(ex1.metric).solve(np.zeros(3),
-                                         np.full(3, 0.05 + 5e-10))
+        _solve(GeodesicSolver(ex1.metric), np.zeros(3),
+               np.full(3, 0.05 + 5e-10))
 
     def test_enforcement_can_be_disabled(self, ex1):
-        curve = GeodesicSolver(ex1.metric, enforce_domain=False).solve(
-            np.zeros(3), np.array([0.06, 0.0, 0.0]))
+        curve = _solve(GeodesicSolver(ex1.metric, enforce_domain=False),
+                       np.zeros(3), np.array([0.06, 0.0, 0.0]))
         assert np.isfinite(curve.energy)
 
     def test_non_finite_endpoint_rejected(self, ex1):
         with pytest.raises(GeodesicDomainError):
-            GeodesicSolver(ex1.metric).solve(np.zeros(3),
-                                             np.array([np.nan, 0.0, 0.0]))
+            _solve(GeodesicSolver(ex1.metric), np.zeros(3),
+                   np.array([np.nan, 0.0, 0.0]))
 
     def test_upper_bound_flag(self, ex2):
         # clean solves always sit inside the declared eigenvalue envelope
-        clean = GeodesicSolver(ex2.metric).solve(np.array([4.5, 4.5]),
-                                                 np.array([-4.5, -4.5]))
+        clean = _solve(GeodesicSolver(ex2.metric), np.array([4.5, 4.5]),
+                       np.array([-4.5, -4.5]))
         assert not clean.exceeds_upper_bound
         # ... and the flag fires when the declared ceiling understates the
         # metric (a mis-specified certificate input)
@@ -169,8 +176,8 @@ class TestDomainHandling:
             eig_floor=ex2.metric.eig_floor,
             eig_ceil=0.5 * ex2.metric.eig_floor,
             domain=ex2.metric.domain, validate=False)
-        curve = GeodesicSolver(lying).solve(np.array([1.0, 0.0]),
-                                            np.zeros(2))
+        curve = _solve(GeodesicSolver(lying), np.array([1.0, 0.0]),
+                       np.zeros(2))
         assert curve.exceeds_upper_bound
 
 
@@ -179,10 +186,10 @@ def test_endpoint_velocities_match_difference_for_flat_metric():
     solver = GeodesicSolver(field)
     p = np.array([1.0, -1.0])
     q = np.array([-0.5, 0.5])
-    curve = solver.solve(p, q)
-    np.testing.assert_allclose(curve.endpoint_velocity("start"), q - p,
+    curve = _solve(solver, p, q)
+    np.testing.assert_allclose(curve.endpoint_velocity("start")[0], q - p,
                                atol=1e-10)
-    np.testing.assert_allclose(curve.endpoint_velocity("end"), q - p,
+    np.testing.assert_allclose(curve.endpoint_velocity("end")[0], q - p,
                                atol=1e-10)
 
 
@@ -206,8 +213,9 @@ class TestEndpointDefiniteness:
                                                                 bad):
         solver = GeodesicSolver(self._field(), enforce_domain=False)
         with pytest.raises(MetricDomainError) as err:
-            solver.solve(np.array([p]), np.array([q]))
+            _solve(solver, [p], [q])
         np.testing.assert_array_equal(err.value.x, [bad])
+        assert err.value.row == 0
 
     def test_curve_carries_endpoint_metrics(self, ex1, ex2):
         for field, p, q in ((ex1.metric, np.array([0.01, -0.02, 0.03]),
@@ -216,10 +224,69 @@ class TestEndpointDefiniteness:
                              np.zeros(2)),
                             (self._field(), np.array([0.4]),
                              np.array([-0.3]))):
-            curve = GeodesicSolver(field).solve(p, q)
-            np.testing.assert_allclose(curve.endpoint_metric("start"),
+            curve = _solve(GeodesicSolver(field), p, q)
+            np.testing.assert_allclose(curve.endpoint_metric("start")[0],
                                        field.metric(p), rtol=1e-14)
-            np.testing.assert_allclose(curve.endpoint_metric("end"),
+            np.testing.assert_allclose(curve.endpoint_metric("end")[0],
                                        field.metric(q), rtol=1e-14)
         with pytest.raises(ValueError):
             curve.endpoint_metric("middle")
+
+
+_CURVE_ARRAYS = ("states", "velocities", "metrics", "energy", "newton_iters",
+                 "grad_norm", "converged_rows", "exceeds_upper_bound")
+
+
+class TestBatch:
+    """A batch of rows solves each row exactly as it solves on its own."""
+
+    @staticmethod
+    def _assert_rows_solo(solver, p, q, warm, batch):
+        for r in range(len(p)):
+            solo = solver.solve(p[r:r + 1], q[r:r + 1],
+                                warm=None if warm is None else warm[r:r + 1])
+            for name in _CURVE_ARRAYS:
+                got, want = getattr(batch, name)[r], getattr(solo, name)[0]
+                np.testing.assert_array_equal(got, want, err_msg=name)
+                np.testing.assert_array_equal(np.signbit(got),
+                                              np.signbit(want), err_msg=name)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_rows_equal_their_solo_solves(self, name, ex1, ex2):
+        field = {"ex1": ex1, "ex2": ex2}[name].metric
+        solver = GeodesicSolver(field, enforce_domain=False,
+                                allow_shortcuts=name == "ex2")
+        sizes = []
+        evaluate = solver._eval
+        solver._eval = lambda states, check_pd=False: (
+            sizes.append(len(states)) or evaluate(states, check_pd=check_pd))
+        rng = np.random.default_rng(5)
+        p, q = rng.uniform(-0.3, 0.3, size=(2, 16, field.dim))
+        q[3] = p[3]                                   # a degenerate row
+        cold = solver.solve(p, q)
+        warm = solver.solve(p * 0.99, q, warm=cold.states)
+        if name == "ex1":
+            # cold starts far apart: the rows need different numbers of
+            # Newton iterations, and some line searches halve their step
+            assert len(set(cold.newton_iters.tolist())) > 3
+            assert min(sizes) < max(sizes) < 16 * 2
+        assert cold.converged
+        self._assert_rows_solo(solver, p, q, None, cold)
+        self._assert_rows_solo(solver, p * 0.99, q, cold.states, warm)
+
+    def test_domain_errors_name_their_row(self, ex1):
+        p = np.zeros((3, 3))
+        q = np.array([[0.01, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.3, 0.0]])
+        with pytest.raises(GeodesicDomainError, match="0.3") as err:
+            GeodesicSolver(ex1.metric).solve(p, q)
+        assert err.value.row == 2
+        q[2] = [np.nan, 0.0, 0.0]
+        with pytest.raises(GeodesicDomainError, match="non-finite") as err:
+            GeodesicSolver(ex1.metric).solve(p, q)
+        assert err.value.row == 2
+        solver = GeodesicSolver(TestEndpointDefiniteness._field(),
+                                enforce_domain=False)
+        with pytest.raises(MetricDomainError) as err:
+            solver.solve(np.zeros((2, 1)), np.array([[0.4], [1.5]]))
+        assert err.value.row == 1
+        np.testing.assert_array_equal(err.value.x, [1.5])

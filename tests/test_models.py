@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ccml1.errors import DimensionMismatch
 from ccml1.models import (AssumptionBounds, DesiredTrajectory, DynamicsModel,
-                          SafeSet, builtin_example, row_dot)
+                          SafeSet, builtin_example, matvec, row_dot)
 from ccml1.sim import rk4_step
 
 coord = st.floats(min_value=-2.0, max_value=2.0,
@@ -54,6 +54,12 @@ def test_vectorized_builtins_equal_the_row_loop(name, scale):
     for field, a, b in zip(got._fields, got, want):
         assert a.shape == b.shape, field
         assert np.array_equal(a, b), field
+    # the drift and input matrix alone, for a stack and for one state
+    for rows in (xs, xs[:1]):
+        rates = model.rate_batch(rows)
+        assert rates.jac is None and rates.d_input is None
+        assert np.array_equal(rates.drift, want.drift[:len(rows)])
+        assert np.array_equal(rates.input, want.input[:len(rows)])
 
 
 def test_row_loop_fallback_shapes():
@@ -176,6 +182,14 @@ class TestDesiredTrajectory:
         states = np.array([[0.0], [1.0]])
         traj = DesiredTrajectory(0.0, 1.0, states, np.zeros((2, 1)))
         assert 0.0 <= traj.state(t)[0] <= 1.0
+
+    def test_sample_reads_what_state_and_input_read(self, ex2_plan):
+        times = np.arange(-3, 1205) * 7e-3          # past both ends
+        for traj in (ex2_plan, DesiredTrajectory.constant(
+                np.array([1.0, 2.0]), np.array([0.5]))):
+            states, inputs = traj.sample(times)
+            assert np.array_equal(states, [traj.state(t) for t in times])
+            assert np.array_equal(inputs, [traj.input(t) for t in times])
 
     def test_mismatched_rows_raise(self):
         with pytest.raises(DimensionMismatch):
@@ -314,6 +328,18 @@ def test_row_dot_carries_the_bits_of_the_per_row_products(d):
     assert np.array_equal(row_dot(stack, b[:4]),
                           [[x @ y for x, y in zip(row, b[:4])]
                            for row in stack])
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (3, 3), (21, 21)])
+def test_matvec_carries_the_bits_of_the_per_row_products(n, k):
+    rng = np.random.default_rng(n + k)
+    a = rng.normal(size=(500, n, k))
+    v = rng.normal(size=(500, k))
+    assert np.array_equal(matvec(a, v), [x @ y for x, y in zip(a, v)])
+    # the transposed view the feedback law and the estimator use
+    t = a.swapaxes(1, 2)
+    w = rng.normal(size=(500, n))
+    assert np.array_equal(matvec(t, w), [x.T @ y for x, y in zip(a, w)])
 
 
 def _reference_contains(region, x, margin):

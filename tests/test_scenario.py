@@ -187,6 +187,10 @@ class TestInlineSystem:
         for a, b in zip(got, want):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14)
+        # the step loop's drift and input matrix carry the callables' bits
+        rates = model.rate_batch(xs)
+        assert np.array_equal(rates.drift, want[0])
+        assert np.array_equal(rates.input, want[2])
 
 
 class TestUncertaintyFamily:
@@ -327,6 +331,28 @@ class TestSystemBuiltOnce:
         other = Scenario.from_dict(scn.doc)     # a new instance builds anew
         assert calls == ["ex2", "ex2"]
         assert other.system() is not scn.system()
+
+    @pytest.mark.parametrize("verb", ["certify", "check-ccm"])
+    def test_seed_override_reuses_the_built_system(self, verb, monkeypatch,
+                                                   tmp_path):
+        import ccml1.scenario as scenario_module
+        from ccml1.cli import main
+        calls = []
+        real = scenario_module.builtin_example
+
+        def counted(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(scenario_module, "builtin_example", counted)
+        main([verb, "--builtin", "ex2", "--seed", "3", "--out",
+              str(tmp_path)])
+        assert calls == ["ex2"]
+        scn = builtin_scenario("ex2")
+        reseeded = scn.with_seed(3)
+        assert reseeded.system() is scn.system()
+        assert reseeded.sim_config().seed == 3
+        assert scn.sim_config().seed == 0
 
     def test_inline_system_built_once_per_instance(self, monkeypatch):
         calls = []

@@ -1,4 +1,4 @@
-"""Integrators, the planner, the three loops, and containment accounting."""
+"""Integrators, the planner, the lockstep loop, and containment accounting."""
 
 import dataclasses
 import math
@@ -9,15 +9,22 @@ import pytest
 from ccml1 import sim as sim_module
 from ccml1.ccm_control import feedback_gain
 from ccml1.certification import TubeCertificate
-from ccml1.errors import DivergenceError, PlannerFailure
+from ccml1.errors import DivergenceError, GeodesicDomainError, PlannerFailure
 from ccml1.geodesic import GeodesicSolver
-from ccml1.l1_control import L1Config, L1State, adaptation_step, filter_step
+from ccml1.l1_control import (L1Config, L1Rows, L1State, adaptation_step,
+                              filter_step)
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import DesiredTrajectory, DynamicsModel, SafeSet
 from ccml1.scenario import SCHEMA_VERSION, Scenario
 from ccml1.sim import (SimConfig, Trajectory, _rk4_with_sensitivities,
                        containment, ilqr_plan, integrate_closed_loop,
-                       integrate_nominal_ccm, integrate_reference, rk4_step)
+                       integrate_nominal_ccm, integrate_reference, lockstep,
+                       rk4_step)
+
+
+def _run(model, field, loop, traj_star, x0, cfg):
+    """One loop, as a batch of one row."""
+    return lockstep(model, field, traj_star, x0, cfg, [loop])[0]
 
 
 def test_rk4_fourth_order_on_scalar_exponential():
@@ -103,10 +110,9 @@ class TestLoops:
         cfg = _cfg()
         l1 = L1Config(state_dim=3, input_dim=1, bandwidth=50.0,
                       adaptation_gain=1e6, unc_bound=0.1)
-        closed = integrate_closed_loop(model, ex1.metric, l1, traj_star,
-                                       x0, cfg)
-        nominal = integrate_nominal_ccm(model, ex1.metric, traj_star, x0,
-                                        cfg)
+        closed, nominal = lockstep(model, ex1.metric, traj_star, x0, cfg,
+                                   [integrate_closed_loop(l1),
+                                    integrate_nominal_ccm()])
         np.testing.assert_array_equal(closed.states, nominal.states)
         np.testing.assert_array_equal(closed.sigma_hat,
                                       np.zeros_like(closed.sigma_hat))
@@ -117,18 +123,18 @@ class TestLoops:
         traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
                                                t_final=0.3, dt=1e-3)
         x0 = np.array([0.02, -0.01, 0.015])
-        ref = integrate_reference(model, ex1.metric, 50.0, traj_star, x0,
-                                  _cfg(t_final=0.3))
-        nom = integrate_nominal_ccm(model, ex1.metric, traj_star, x0,
-                                    _cfg(t_final=0.3))
+        ref = _run(model, ex1.metric, integrate_reference(50.0), traj_star,
+                   x0, _cfg(t_final=0.3))
+        nom = _run(model, ex1.metric, integrate_nominal_ccm(), traj_star, x0,
+                   _cfg(t_final=0.3))
         np.testing.assert_allclose(ref.states, nom.states, atol=1e-12)
 
     def test_nominal_energy_decay_bound(self, ex1):
         traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
                                                t_final=1.0, dt=1e-3)
         x0 = np.array([0.03, -0.02, 0.04])
-        traj = integrate_nominal_ccm(ex1.model, ex1.metric, traj_star, x0,
-                                     _cfg(t_final=1.0))
+        traj = _run(ex1.model, ex1.metric, integrate_nominal_ccm(), traj_star,
+                    x0, _cfg(t_final=1.0))
         lam = ex1.metric.contraction_rate
         bound = traj.energy[0] * np.exp(-2.0 * lam * traj.times)
         assert np.all(traj.energy <= bound * 1.05 + 1e-15)
@@ -140,10 +146,9 @@ class TestLoops:
         x0 = np.zeros(3)
         l1 = L1Config(state_dim=3, input_dim=1, bandwidth=50.0,
                       adaptation_gain=1e6, unc_bound=0.1)
-        with_l1 = integrate_closed_loop(ex1.model, ex1.metric, l1,
-                                        traj_star, x0, cfg)
-        without = integrate_closed_loop(ex1.model, ex1.metric, None,
-                                        traj_star, x0, cfg)
+        with_l1, without = lockstep(ex1.model, ex1.metric, traj_star, x0,
+                                    cfg, [integrate_closed_loop(l1),
+                                          integrate_closed_loop(None)])
         # compare late-window tracking error (after the estimator settles)
         late = with_l1.times >= 0.5
         assert with_l1.dist[late].max() < 0.5 * without.dist[late].max()
@@ -155,11 +160,9 @@ class TestLoops:
         traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
                                                t_final=0.5, dt=1e-3)
         cfg = _cfg(divergence_limit=0.01)
-        with pytest.raises(DivergenceError) as err:
-            integrate_nominal_ccm(ex1.model, ex1.metric, traj_star,
-                                  np.array([0.03, 0.0, 0.0]), cfg)
-        partial = err.value.partial
-        assert partial is not None
+        partial = _run(ex1.model, ex1.metric, integrate_nominal_ccm(),
+                       traj_star, np.array([0.03, 0.0, 0.0]), cfg)
+        assert isinstance(partial.stopped, DivergenceError)
         assert 0 < len(partial.times) < cfg.n_steps + 1
         assert np.all(np.isfinite(partial.states))
 
@@ -436,17 +439,37 @@ class TestBatchedLinearization:
         assert calls["jac_drift"] == 0 and calls["d_input"] == 0
 
 
-# --- the one step loop against the four loops it replaced --------------------
+# --- the lockstep loop against serial loops ---------------------------------
 # The reference loops below are the per-system loop bodies the step loop in
-# ``ccml1.sim`` replaced, kept verbatim up to names: the closed loop with its
-# ``l1=None`` branch, the reference loop and the nominal loop.
+# ``ccml1.sim`` replaced, up to names, run one system at a time on batches of
+# one row: the closed loop with its ``l1=None`` branch, the reference loop
+# and the nominal loop.  A run that diverges returns the steps before it,
+# with the reason, as the lockstep loop does.
 
 
-def _reference_check_alive(x, limit, rec, step):
-    if np.all(np.isfinite(x)) and np.linalg.norm(x) <= limit:
-        return
-    partial = Trajectory(**{k: v[:step + 1] for k, v in rec.items()})
-    raise DivergenceError(f"state diverged at step {step}", partial=partial)
+def _reference_alive(x, limit):
+    return bool(np.all(np.isfinite(x)) and np.linalg.norm(x) <= limit)
+
+
+def _stopped(rec, step, warnings, reason):
+    return Trajectory(**{k: v[:step + 1] for k, v in rec.items()},
+                      warnings=warnings, stopped=reason)
+
+
+def _alloc(n_steps, n, m):
+    k = n_steps + 1
+    return dict(times=np.zeros(k), states=np.zeros((k, n)),
+                states_star=np.zeros((k, n)), u_feedback=np.zeros((k, m)),
+                u_adaptive=np.zeros((k, m)), sigma_hat=np.zeros((k, m)),
+                x_hat=np.zeros((k, n)), xtilde_norm=np.zeros(k),
+                energy=np.zeros(k))
+
+
+def _reference_feedback(model, field, curve, us):
+    x_des, x = curve.states[0, 0], curve.states[0, -1]
+    return feedback_gain(field, curve, model.nominal_rate(x_des, us)[None],
+                         model.nominal_rate(x, us)[None],
+                         model.input_matrix(x)[None])
 
 
 def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
@@ -455,8 +478,9 @@ def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
     solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
                             tol=cfg.geodesic_tol,
                             enforce_domain=cfg.enforce_domain)
-    l1_state = L1State.start(x, m)
-    rec = sim_module._alloc(cfg.n_steps, n, m)
+    l1_rows = None if l1 is None else L1Rows.stack([l1])
+    l1_state = L1State.start(x[None], m)
+    rec = _alloc(cfg.n_steps, n, m)
     warnings = []
     warm = None
     h = model.uncertainty
@@ -465,26 +489,27 @@ def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
         t = step * cfg.dt
         xs = traj_star.state(t)
         us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=warm)
-        warm = curve
+        curve = solver.solve(xs[None], x[None], warm=warm)
+        warm = curve.states
         if not curve.converged:
             warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
+                            f"(grad {curve.grad_norm[0]:.2e})")
+        fb = _reference_feedback(model, field, curve, us)
         if fb.infeasible:
             warnings.append(f"step {step}: feedback constraint degenerated")
-        u_c = us + fb.gain
-        u_a = l1_state.u_adaptive.copy()
+        u_c = us + fb.gain[0]
+        u_a = l1_state.u_adaptive[0].copy()
 
         rec["times"][step] = t
         rec["states"][step] = x
         rec["states_star"][step] = xs
         rec["u_feedback"][step] = u_c
         rec["u_adaptive"][step] = u_a
-        rec["sigma_hat"][step] = l1_state.sigma_hat
-        rec["x_hat"][step] = l1_state.x_hat
-        rec["xtilde_norm"][step] = np.linalg.norm(l1_state.prediction_error(x))
-        rec["energy"][step] = curve.energy
+        rec["sigma_hat"][step] = l1_state.sigma_hat[0]
+        rec["x_hat"][step] = l1_state.x_hat[0]
+        rec["xtilde_norm"][step] = np.linalg.norm(
+            l1_state.prediction_error(x[None])[0])
+        rec["energy"][step] = curve.energy[0]
         if step == cfg.n_steps:
             break
 
@@ -494,12 +519,14 @@ def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
                 return model.drift(xx) + model.input_matrix(xx) @ u_plant
 
             x = rk4_step(rate, t, x, cfg.dt)
-            l1_state.x_hat = x.copy()
-            _reference_check_alive(x, cfg.divergence_limit, rec, step)
+            l1_state.x_hat = x[None].copy()
+            if not _reference_alive(x, cfg.divergence_limit):
+                return _stopped(rec, step, warnings, DivergenceError(
+                    f"state diverged at step {step}"))
             continue
 
         u_held = u_c + u_a
-        sigma_held = l1_state.sigma_hat.copy()
+        sigma_held = l1_state.sigma_hat[0].copy()
         pred_mat = l1.pred_matrix
 
         def joint_rate(tt, z):
@@ -511,13 +538,16 @@ def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
             dxh = drift + b_mat @ (u_held + sigma_held) + pred_mat @ (xh - xx)
             return np.concatenate([dx, dxh])
 
-        z = rk4_step(joint_rate, t, np.concatenate([x, l1_state.x_hat]),
+        z = rk4_step(joint_rate, t, np.concatenate([x, l1_state.x_hat[0]]),
                      cfg.dt)
-        x, l1_state.x_hat = z[:n].copy(), z[n:].copy()
-        _reference_check_alive(x, cfg.divergence_limit, rec, step)
+        x, l1_state.x_hat = z[:n].copy(), z[None, n:].copy()
+        if not _reference_alive(x, cfg.divergence_limit):
+            return _stopped(rec, step, warnings, DivergenceError(
+                f"state diverged at step {step}"))
 
-        adaptation_step(l1, l1_state, x, model.input_matrix(x), cfg.dt)
-        filter_step(l1, l1_state, cfg.dt)
+        adaptation_step(l1_rows, l1_state, x[None],
+                        model.input_matrix(x)[None], cfg.dt)
+        filter_step(l1_rows, l1_state, cfg.dt)
 
     return Trajectory(**rec, warnings=warnings)
 
@@ -528,7 +558,7 @@ def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
     solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
                             tol=cfg.geodesic_tol,
                             enforce_domain=cfg.enforce_domain)
-    rec = sim_module._alloc(cfg.n_steps, n, m)
+    rec = _alloc(cfg.n_steps, n, m)
     warnings = []
     warm = None
     h = model.uncertainty
@@ -539,13 +569,15 @@ def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
         t = step * cfg.dt
         xs = traj_star.state(t)
         us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=warm)
-        warm = curve
+        curve = solver.solve(xs[None], x[None], warm=warm)
+        warm = curve.states
         if not curve.converged:
             warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
-        u_c = us + fb.gain
+                            f"(grad {curve.grad_norm[0]:.2e})")
+        fb = _reference_feedback(model, field, curve, us)
+        if fb.infeasible:
+            warnings.append(f"step {step}: feedback constraint degenerated")
+        u_c = us + fb.gain[0]
 
         rec["times"][step] = t
         rec["states"][step] = x
@@ -553,7 +585,7 @@ def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
         rec["u_feedback"][step] = u_c
         rec["u_adaptive"][step] = -eta
         rec["x_hat"][step] = x
-        rec["energy"][step] = curve.energy
+        rec["energy"][step] = curve.energy[0]
         if step == cfg.n_steps:
             break
 
@@ -564,9 +596,11 @@ def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
             return model.drift(xx) + model.input_matrix(xx) @ u_plant
 
         x = rk4_step(rate, t, x, cfg.dt)
-        _reference_check_alive(x, cfg.divergence_limit, rec, step)
-        if h is not None:
-            eta = decay * eta + (1.0 - decay) * h(t + cfg.dt, x)
+        if not _reference_alive(x, cfg.divergence_limit):
+            return _stopped(rec, step, warnings, DivergenceError(
+                f"state diverged at step {step}"))
+        eta = decay * eta + (1.0 - decay) * (
+            h(t + cfg.dt, x) if h is not None else 0.0)
 
     return Trajectory(**rec, warnings=warnings)
 
@@ -577,7 +611,7 @@ def _reference_nominal(model, field, traj_star, x0, cfg):
     solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
                             tol=cfg.geodesic_tol,
                             enforce_domain=cfg.enforce_domain)
-    rec = sim_module._alloc(cfg.n_steps, n, m)
+    rec = _alloc(cfg.n_steps, n, m)
     warnings = []
     warm = None
 
@@ -585,20 +619,22 @@ def _reference_nominal(model, field, traj_star, x0, cfg):
         t = step * cfg.dt
         xs = traj_star.state(t)
         us = traj_star.input(t)
-        curve = solver.solve(xs, x, warm=warm)
-        warm = curve
+        curve = solver.solve(xs[None], x[None], warm=warm)
+        warm = curve.states
         if not curve.converged:
             warnings.append(f"step {step}: geodesic not converged "
-                            f"(grad {curve.grad_norm:.2e})")
-        fb = feedback_gain(model, field, curve, us)
-        u_c = us + fb.gain
+                            f"(grad {curve.grad_norm[0]:.2e})")
+        fb = _reference_feedback(model, field, curve, us)
+        if fb.infeasible:
+            warnings.append(f"step {step}: feedback constraint degenerated")
+        u_c = us + fb.gain[0]
 
         rec["times"][step] = t
         rec["states"][step] = x
         rec["states_star"][step] = xs
         rec["u_feedback"][step] = u_c
         rec["x_hat"][step] = x
-        rec["energy"][step] = curve.energy
+        rec["energy"][step] = curve.energy[0]
         if step == cfg.n_steps:
             break
 
@@ -606,7 +642,9 @@ def _reference_nominal(model, field, traj_star, x0, cfg):
             return model.drift(xx) + model.input_matrix(xx) @ u_c
 
         x = rk4_step(rate, t, x, cfg.dt)
-        _reference_check_alive(x, cfg.divergence_limit, rec, step)
+        if not _reference_alive(x, cfg.divergence_limit):
+            return _stopped(rec, step, warnings, DivergenceError(
+                f"state diverged at step {step}"))
 
     return Trajectory(**rec, warnings=warnings)
 
@@ -617,7 +655,8 @@ _TRAJECTORY_ARRAYS = ("times", "states", "states_star", "u_feedback",
 
 
 def _assert_same_run(got, want):
-    """Every recorded array equal, bit for bit and sign of zero included."""
+    """Every recorded array equal, bit for bit and sign of zero included,
+    the same warnings, and the same reason to stop (if any)."""
     for name in _TRAJECTORY_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
@@ -625,42 +664,51 @@ def _assert_same_run(got, want):
         np.testing.assert_array_equal(np.signbit(a), np.signbit(b),
                                       err_msg=name)
     assert got.warnings == want.warnings
+    assert str(got.stopped) == str(want.stopped)
+    assert type(got.stopped) is type(want.stopped)
 
 
-def _loop_pairs(sysb, l1):
-    """(unified, reference) callables for the four loop variants."""
+def _variant(sysb, name, l1):
+    """(batch row, serial reference) of one loop variant; ``l1`` is the
+    tuning of an L1 row, or gives a reference row its bandwidth."""
     model, field = sysb.model, sysb.metric
-    return {
-        "l1": (lambda ts, x0, cfg: integrate_closed_loop(
-                   model, field, l1, ts, x0, cfg),
-               lambda ts, x0, cfg: _reference_closed_loop(
-                   model, field, l1, ts, x0, cfg)),
-        "no_l1": (lambda ts, x0, cfg: integrate_closed_loop(
-                      model, field, None, ts, x0, cfg),
-                  lambda ts, x0, cfg: _reference_closed_loop(
-                      model, field, None, ts, x0, cfg)),
-        "reference": (lambda ts, x0, cfg: integrate_reference(
-                          model, field, l1.bandwidth, ts, x0, cfg),
-                      lambda ts, x0, cfg: _reference_reference_loop(
-                          model, field, l1.bandwidth, ts, x0, cfg)),
-        "nominal": (lambda ts, x0, cfg: integrate_nominal_ccm(
-                        model, field, ts, x0, cfg),
-                    lambda ts, x0, cfg: _reference_nominal(
-                        model, field, ts, x0, cfg)),
-    }
+    if name in ("l1", "no_l1"):
+        tuning = l1 if name == "l1" else None
+        return (integrate_closed_loop(tuning),
+                lambda ts, x0, cfg: _reference_closed_loop(
+                    model, field, tuning, ts, x0, cfg))
+    if name == "reference":
+        return (integrate_reference(l1.bandwidth),
+                lambda ts, x0, cfg: _reference_reference_loop(
+                    model, field, l1.bandwidth, ts, x0, cfg))
+    return (integrate_nominal_ccm(),
+            lambda ts, x0, cfg: _reference_nominal(model, field, ts, x0,
+                                                   cfg))
 
 
 _VARIANTS = ("l1", "no_l1", "reference", "nominal")
 
 
-def _ex1_l1():
-    return L1Config(state_dim=3, input_dim=1, bandwidth=50.0,
-                    adaptation_gain=5e6, unc_bound=0.12)
+def _ex1_l1(gamma=5e6, omega=50.0):
+    return L1Config(state_dim=3, input_dim=1, bandwidth=omega,
+                    adaptation_gain=gamma, unc_bound=0.12)
 
 
-def _ex2_l1():
-    return L1Config(state_dim=2, input_dim=1, bandwidth=90.0,
-                    adaptation_gain=4e7, unc_bound=3.0)
+def _ex2_l1(gamma=4e7, omega=90.0):
+    return L1Config(state_dim=2, input_dim=1, bandwidth=omega,
+                    adaptation_gain=gamma, unc_bound=3.0)
+
+
+def _assert_batch_equals_serial(sysb, rows, traj_star, x0s, cfg):
+    """``rows`` lists (variant, L1 tuning) per row; each batch row must
+    equal its variant's serial loop from its own initial state."""
+    pairs = [_variant(sysb, name, l1) for name, l1 in rows]
+    batch = lockstep(sysb.model, sysb.metric, traj_star, x0s, cfg,
+                     [loop for loop, _ in pairs])
+    assert len(batch) == len(rows)
+    for got, (_, serial), x0 in zip(batch, pairs, x0s):
+        _assert_same_run(got, serial(traj_star, x0, cfg))
+    return batch
 
 
 class TestOneStepLoop:
@@ -669,18 +717,15 @@ class TestOneStepLoop:
         traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
                                                t_final=0.15, dt=1e-3)
         cfg = _cfg(t_final=0.15, enforce_domain=False)
-        unified, old = _loop_pairs(ex1, _ex1_l1())[variant]
-        x0 = np.array([0.01, -0.01, 0.01])
-        _assert_same_run(unified(traj_star, x0, cfg),
-                         old(traj_star, x0, cfg))
+        _assert_batch_equals_serial(ex1, [(variant, _ex1_l1())], traj_star,
+                                    np.array([[0.01, -0.01, 0.01]]), cfg)
 
     @pytest.mark.parametrize("variant", _VARIANTS)
     def test_ex2_equals_the_old_loop(self, ex2, ex2_plan_fine, variant):
         cfg = _cfg(t_final=0.2)
-        unified, old = _loop_pairs(ex2, _ex2_l1())[variant]
         x0 = ex2_plan_fine.states[0] + np.array([0.3, -0.2])
-        _assert_same_run(unified(ex2_plan_fine, x0, cfg),
-                         old(ex2_plan_fine, x0, cfg))
+        _assert_batch_equals_serial(ex2, [(variant, _ex2_l1())],
+                                    ex2_plan_fine, x0[None], cfg)
 
     @pytest.mark.parametrize("variant", _VARIANTS)
     def test_partial_history_equals_the_old_loop(self, ex1, variant):
@@ -689,15 +734,10 @@ class TestOneStepLoop:
         traj_star = DesiredTrajectory.constant(np.full(3, 0.04), np.zeros(1),
                                                t_final=0.5, dt=1e-3)
         cfg = _cfg(divergence_limit=0.01, enforce_domain=False)
-        unified, old = _loop_pairs(ex1, _ex1_l1())[variant]
-        x0 = np.zeros(3)
-        with pytest.raises(DivergenceError) as got:
-            unified(traj_star, x0, cfg)
-        with pytest.raises(DivergenceError) as want:
-            old(traj_star, x0, cfg)
-        assert str(got.value) == str(want.value)
-        assert 100 < len(got.value.partial.times) < cfg.n_steps + 1
-        _assert_same_run(got.value.partial, want.value.partial)
+        (got,) = _assert_batch_equals_serial(
+            ex1, [(variant, _ex1_l1())], traj_star, np.zeros((1, 3)), cfg)
+        assert isinstance(got.stopped, DivergenceError)
+        assert 100 < len(got.times) < cfg.n_steps + 1
 
     def test_all_three_loops_record_degenerate_feedback(self):
         # the zero-input-matrix plant of the feedback tests: the constraint
@@ -714,51 +754,156 @@ class TestOneStepLoop:
         cfg = _cfg(t_final=0.01)
         l1 = L1Config(state_dim=1, input_dim=1, bandwidth=10.0,
                       adaptation_gain=10.0, unc_bound=1.0)
-        x0 = np.array([1.0])
-        runs = [integrate_closed_loop(model, field, l1, traj_star, x0, cfg),
-                integrate_closed_loop(model, field, None, traj_star, x0,
-                                      cfg),
-                integrate_reference(model, field, 10.0, traj_star, x0, cfg),
-                integrate_nominal_ccm(model, field, traj_star, x0, cfg)]
+        runs = lockstep(model, field, traj_star, np.array([1.0]), cfg,
+                        [integrate_closed_loop(l1), integrate_closed_loop(None),
+                         integrate_reference(10.0), integrate_nominal_ccm()])
         expected = [f"step {k}: feedback constraint degenerated"
                     for k in range(cfg.n_steps + 1)]
         for run in runs:
             assert run.warnings == expected
 
 
+def _mixed_rows(make_l1, k):
+    """k rows cycling through the four variants, each L1 row with its own
+    adaptation gain and filter bandwidth."""
+    gammas = (1e4, 1e5, 1e6, 1e7, 3e6)
+    return [(_VARIANTS[i % 4], make_l1(gammas[i % 5], 30.0 + 10.0 * (i % 3)))
+            for i in range(k)]
+
+
+class TestLockstep:
+    """A batch of rows records, row by row, what serial runs record."""
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_ex1_rows_equal_serial_runs(self, ex1, k):
+        traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                               t_final=0.05, dt=1e-3)
+        cfg = _cfg(t_final=0.05, enforce_domain=False)
+        rng = np.random.default_rng(k)
+        x0s = rng.uniform(-0.03, 0.03, size=(k, 3))
+        _assert_batch_equals_serial(ex1, _mixed_rows(_ex1_l1, k), traj_star,
+                                    x0s, cfg)
+
+    def test_ex2_rows_equal_serial_runs(self, ex2, ex2_plan_fine):
+        cfg = _cfg(t_final=0.1)
+        x0s = ex2_plan_fine.states[0] + np.array(
+            [[0.3, -0.2], [-0.1, 0.4], [0.0, 0.0], [0.5, 0.5], [0.2, 0.1]])
+        _assert_batch_equals_serial(ex2, _mixed_rows(_ex2_l1, 5),
+                                    ex2_plan_fine, x0s, cfg)
+
+    def test_a_diverging_row_stops_alone(self, ex1):
+        # from rest at the target, the disturbance pushes the uncertain
+        # loops past the tiny limit within a few steps, at different steps;
+        # the nominal loop feels no disturbance and stays at rest
+        traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                               t_final=0.1, dt=1e-3)
+        cfg = _cfg(t_final=0.1, divergence_limit=1e-5, enforce_domain=False)
+        rows = [("no_l1", None), ("nominal", None), ("l1", _ex1_l1(1e7)),
+                ("reference", _ex1_l1())]
+        runs = _assert_batch_equals_serial(ex1, rows, traj_star,
+                                           np.zeros((4, 3)), cfg)
+        stopped = [run.stopped is not None for run in runs]
+        assert stopped == [True, False, True, True]
+        lengths = [len(run.times) for run in runs]
+        assert lengths[1] == cfg.n_steps + 1
+        assert all(1 < size < cfg.n_steps for size, stop
+                   in zip(lengths, stopped) if stop)
+
+    def test_rows_with_different_newton_work(self, ex1, monkeypatch):
+        # cold starts far apart in the (unenforced) domain: the first solves
+        # need different numbers of Newton iterations, and line searches
+        # that halve their step evaluate fewer rows than the batch
+        iterations, evaluated, steps = [], [], []
+        solve, evaluate = GeodesicSolver.solve, GeodesicSolver._eval
+        newton = GeodesicSolver._newton_step
+
+        def counted_solve(self, p, q, warm=None):
+            curve = solve(self, p, q, warm=warm)
+            iterations.append(curve.newton_iters.tolist())
+            return curve
+
+        def counted_newton(self, m, grad):
+            steps.append(len(m))
+            return newton(self, m, grad)
+
+        def counted_eval(self, states, check_pd=False):
+            evaluated.append(len(states))
+            return evaluate(self, states, check_pd=check_pd)
+
+        monkeypatch.setattr(GeodesicSolver, "solve", counted_solve)
+        monkeypatch.setattr(GeodesicSolver, "_eval", counted_eval)
+        monkeypatch.setattr(GeodesicSolver, "_newton_step", counted_newton)
+        traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                               t_final=0.01, dt=1e-3)
+        cfg = _cfg(t_final=0.01, enforce_domain=False)
+        rng = np.random.default_rng(5)
+        x0s = rng.uniform(-0.3, 0.3, size=(6, 3))
+        rows = _mixed_rows(_ex1_l1, 6)
+        lockstep(ex1.model, ex1.metric, traj_star, x0s, cfg,
+                 [_variant(ex1, name, l1)[0] for name, l1 in rows])
+        monkeypatch.undo()
+        assert len(set(iterations[0])) > 2
+        assert evaluated[0] == 6 and min(evaluated) < 6
+        # one evaluation per solve, then one per line-search trial: more
+        # trials than Newton steps means some line search halved
+        assert len(evaluated) - len(iterations) > len(steps)
+        _assert_batch_equals_serial(ex1, rows, traj_star, x0s, cfg)
+
+    def test_a_row_leaving_the_domain_stops_alone(self, ex1):
+        # row 1 starts outside the metric's validated box: its first
+        # geodesic fails, it records nothing, and the others run on
+        traj_star = DesiredTrajectory.constant(np.zeros(3), np.zeros(1),
+                                               t_final=0.02, dt=1e-3)
+        cfg = _cfg(t_final=0.02)
+        x0s = np.array([[0.01, 0.0, 0.0], [0.06, 0.0, 0.0],
+                        [0.0, 0.01, -0.01]])
+        runs = lockstep(ex1.model, ex1.metric, traj_star, x0s, cfg,
+                        [integrate_closed_loop(_ex1_l1()),
+                         integrate_closed_loop(_ex1_l1()),
+                         integrate_nominal_ccm()])
+        assert isinstance(runs[1].stopped, GeodesicDomainError)
+        assert "0.06" in str(runs[1].stopped)
+        assert len(runs[1].times) == 0
+        for i in (0, 2):
+            assert runs[i].stopped is None
+            assert len(runs[i].times) == cfg.n_steps + 1
+        alone = _run(ex1.model, ex1.metric, integrate_nominal_ccm(),
+                     traj_star, x0s[2], cfg)
+        _assert_same_run(runs[2], alone)
+
+    def test_ex2_nominal_loop_flags_no_rounding_level_degeneracy(
+            self, ex2, ex2_plan_fine):
+        # at vanishing tracking error the constraint normal and the
+        # geodesic speed shrink together; the unforced decay then falls
+        # short by rounding alone, which is no degenerate normal
+        cfg = SimConfig(dt=1e-3, t_final=8.0)
+        run = _run(ex2.model, ex2.metric, integrate_nominal_ccm(),
+                   ex2_plan_fine, ex2_plan_fine.states[0], cfg)
+        assert run.stopped is None
+        assert run.warnings == []
+
+
 class TestDivergenceCheck:
-    def _check(self, x, limit=5.0):
-        rec = sim_module._alloc(1, len(x), 1)
-        sim_module._check_alive(np.asarray(x, dtype=float), limit, rec, 0)
+    def _alive(self, x, limit=5.0):
+        return sim_module._alive(np.asarray(x, dtype=float)[None], limit)[0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_state_diverges(self, bad):
-        with pytest.raises(DivergenceError, match="diverged at step 0"):
-            self._check([0.0, bad])
+        assert not self._alive([0.0, bad])
 
     def test_state_exactly_at_the_limit_is_alive(self):
-        self._check([3.0, 4.0])                  # |x| = 5 exactly
-        self._check([-3.0, -4.0])
-        with pytest.raises(DivergenceError):
-            self._check([3.0, np.nextafter(4.0, 5.0)])
+        assert self._alive([3.0, 4.0])                  # |x| = 5 exactly
+        assert self._alive([-3.0, -4.0])
+        assert not self._alive([3.0, np.nextafter(4.0, 5.0)])
 
     def test_overflowing_norm_diverges(self):
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-            self._check([1e200, 1e200], limit=1e300)
+        with np.errstate(over="ignore"):
+            assert not self._alive([1e200, 1e200], limit=1e300)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_accepts_what_the_norm_test_accepts(self, seed):
         rng = np.random.default_rng(seed)
         limit = 1.0
-        for x in rng.normal(scale=0.6, size=(200, 3)):
-            rec = sim_module._alloc(1, 3, 1)
-            try:
-                _reference_check_alive(x, limit, rec, 0)
-                alive = True
-            except DivergenceError:
-                alive = False
-            if alive:
-                sim_module._check_alive(x, limit, rec, 0)
-            else:
-                with pytest.raises(DivergenceError):
-                    sim_module._check_alive(x, limit, rec, 0)
+        xs = rng.normal(scale=0.6, size=(200, 3))
+        assert sim_module._alive(xs, limit) == [
+            _reference_alive(x, limit) for x in xs]
