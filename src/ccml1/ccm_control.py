@@ -79,14 +79,13 @@ def feedback_gain(field: MetricField, curve: GeodesicCurve,
     # input reaches the constraint (a degenerate normal)
     a_sq = row_dot(a, a)
     zero = (b >= 0.0) | (a_sq < _FEASIBILITY_FLOOR ** 2)
-    if not zero.any():
-        return CcmFeedbackResult(gain=(b / a_sq)[:, None] * a,
-                                 constraint_slack=b, active_rows=~zero,
-                                 infeasible_rows=zero)
     active = ~zero
-    gain = np.zeros(a.shape)
-    gain[active] = (b[active] / a_sq[active])[:, None] * a[active]
-    infeasible = zero & (b < 0.0) & (
-        a_sq <= _DEGENERATE_RATIO ** 2 * row_dot(v_end, v_end))
+    coef = b / np.where(active, a_sq, 1.0)
+    gain = np.where(active[:, None], coef[:, None] * a, 0.0)
+    # a zero correction where the decay falls short is degenerate only if
+    # the normal is negligible against the geodesic's endpoint speed
+    infeasible = zero & (b < 0.0)
+    if infeasible.any():
+        infeasible &= a_sq <= _DEGENERATE_RATIO ** 2 * row_dot(v_end, v_end)
     return CcmFeedbackResult(gain=gain, constraint_slack=b,
                              active_rows=active, infeasible_rows=infeasible)

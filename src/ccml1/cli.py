@@ -45,6 +45,10 @@ EXIT_INFEASIBLE = 2
 EXIT_DIVERGED = 3
 
 _GAMMA_DT_WARN = 1e3
+# Most loops a sweep runs in one batch.  A batch holds every row's records
+# for the whole horizon, so this bounds the sweep's memory (about 88 bytes
+# per step and row) while keeping most of the batching gain.
+SWEEP_BATCH = 16
 
 
 class _UsageError(Exception):
@@ -362,7 +366,7 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
         row += [f"{type(exc).__name__}: {msg}"]
 
     # certificates first, in grid order; the combinations that share a
-    # tube radius share its constants, and their loops run as one batch
+    # tube radius share its constants, and their loops run in batches
     rows, groups = [], {}
     for omega, gamma, eps, rho_a in itertools.product(omegas, gammas,
                                                       epss, rho_as):
@@ -391,26 +395,38 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
             continue
         groups.setdefault(rho, []).append((row, cert, l1cfg))
 
-    for members in groups.values():
+    def run(members):
+        """Each member's trajectory, or the error its loop raised.  A batch
+        that raises runs again one member at a time, so only the member
+        whose loop raises fails."""
         try:
-            trajs = lockstep(model, field, traj_star, x0, cfg,
-                             [integrate_closed_loop(c) for _, _, c in members])
+            return lockstep(model, field, traj_star, x0, cfg,
+                            [integrate_closed_loop(c) for _, _, c in members])
         except (CcmL1Error, ValueError) as exc:
-            for row, _, _ in members:
-                fail(row, exc)
-            continue
-        for (row, cert, _), traj in zip(members, trajs):
-            if traj.stopped is not None:
-                fail(row, traj.stopped)
-                continue
-            rep = containment(traj, cert, kind="actual",
-                              safe_set=sysb.safe_set)
-            row += [cert.rho, cert.valid, cert.margin_energy,
-                    cert.margin_bandwidth, cert.margin_adaptation,
-                    float(np.max(traj.dist)),
-                    float(np.max(traj.xtilde_norm)),
-                    float(np.max(np.linalg.norm(traj.sigma_hat, axis=1))),
-                    rep.contained, "ok"]
+            if len(members) == 1:
+                return [exc]
+            return [out for one in members for out in run([one])]
+
+    for members in groups.values():
+        for at in range(0, len(members), SWEEP_BATCH):
+            chunk = members[at:at + SWEEP_BATCH]
+            for (row, cert, _), traj in zip(chunk, run(chunk)):
+                stopped = traj if isinstance(traj, Exception) else traj.stopped
+                if stopped is not None:
+                    fail(row, stopped)
+                    continue
+                try:
+                    rep = containment(traj, cert, kind="actual",
+                                      safe_set=sysb.safe_set)
+                except (CcmL1Error, ValueError) as exc:
+                    fail(row, exc)
+                    continue
+                row += [cert.rho, cert.valid, cert.margin_energy,
+                        cert.margin_bandwidth, cert.margin_adaptation,
+                        float(np.max(traj.dist)),
+                        float(np.max(traj.xtilde_norm)),
+                        float(np.max(np.linalg.norm(traj.sigma_hat, axis=1))),
+                        rep.contained, "ok"]
 
     _write_csv(out / "sweep.csv", header, rows)
     n_ok = sum(1 for r in rows if r[-1] == "ok")

@@ -125,10 +125,14 @@ class GeodesicSolver:
         self._s_col = self.s_nodes[:, None]
         self._s_rev = (1.0 - self.s_nodes)[:, None]
         self._ends_of: dict[int, np.ndarray] = {}
-        self._d_int = self.diff[:, 1:-1]
-        self._wd = self.weights[:, None] * self.diff        # w_i * D[i, k]
-        self._wd_int = self.weights[:, None] * self._d_int
-        self._size = self._d_int.shape[1] * field.dim       # Newton unknowns
+        # doubled weights: scaling by 2 is exact, so these give the bits of
+        # doubling the products and sums they enter
+        wd = self.weights[:, None] * self.diff              # w_i * D[i, k]
+        self._wd2_t = (2.0 * wd).T
+        # Gauss-Newton taps 2 w_i D[i, k] D[i, l] over the interior columns
+        self._gn_taps = 2.0 * np.einsum("ik,il->ikl", wd[:, 1:-1],
+                                        self.diff[:, 1:-1])
+        self._size = (self.n_intervals - 1) * field.dim      # Newton unknowns
 
     # -- internals -----------------------------------------------------------
 
@@ -144,26 +148,25 @@ class GeodesicSolver:
         the metric depends on.
         """
         r, n_nodes, dim = states.shape
-        m, dm = self.field.metric_and_partials_batch(
+        m, dm = self.field.metric_and_active_partials(
             states.reshape(-1, dim), check_pd=check_pd)
         m = m.reshape(r, n_nodes, dim, dim)
         v = self.diff @ states
         mv = matvec(m, v)
         e = row_dot((v * mv).sum(axis=2), self.weights)
-        grad = 2.0 * (self._wd.T @ mv)
-        act = self.field.active_index
+        grad = self._wd2_t @ mv
         if self.field.active_coords:
-            dm_act = dm.reshape(r, n_nodes, dim, dim, dim)[:, :, act]
-            quad = np.einsum("rkjab,rka,rkb->rkj", dm_act, v, v)
-            grad[..., act] += self.weights[:, None] * quad
+            quad = np.einsum("rkjab,rka,rkb->rkj",
+                             dm.reshape(r, n_nodes, -1, dim, dim), v, v)
+            grad[..., self.field.active_index] += self.weights[:, None] * quad
         return e, grad[:, 1:-1], m, v
 
     def _newton_step(self, m: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """(R, size) Gauss-Newton steps from one stacked solve; a row whose
         system is singular falls back to steepest descent."""
         r, size = m.shape[0], self._size
-        h = 2.0 * np.einsum("ik,il,riab->rkalb", self._wd_int, self._d_int, m)
-        h = h.reshape(r, size, size)
+        h = np.einsum("ikl,riab->rkalb", self._gn_taps, m).reshape(r, size,
+                                                                    size)
         diag = h.reshape(r, -1)[:, ::size + 1]              # a view
         diag += (1e-12 * (1.0 + diag.sum(axis=1) / size))[:, None]
         rhs = -grad.reshape(r, size, 1)
@@ -296,33 +299,26 @@ class GeodesicSolver:
         dim = states.shape[2]
         done_iters = 0
         while True:
-            rows = np.flatnonzero(todo)
-            sel = slice(None) if len(rows) == len(todo) else rows
-            g = grad[sel].reshape(len(rows), -1)
-            step = self._newton_step(m[sel], g)
+            rows = todo.nonzero()[0]
+            g = grad[rows].reshape(len(rows), -1)
+            step = self._newton_step(m[rows], g)
             flat_dir = row_dot(g, step)
-            if (flat_dir >= 0.0).any():
-                for i in np.flatnonzero(flat_dir >= 0.0).tolist():
-                    # not a descent direction; fall back
-                    step[i] = -g[i]
-                    flat_dir[i] = -float(np.linalg.norm(step[i]) ** 2)
+            for i in (flat_dir >= 0.0).nonzero()[0].tolist():
+                # not a descent direction; fall back
+                step[i] = -g[i]
+                flat_dir[i] = -float(np.linalg.norm(step[i]) ** 2)
             step = step.reshape(len(rows), -1, dim)
 
-            at, scale, failed = sel, 1.0, None
+            at, scale, failed = rows, 1.0, None
             for _ in range(10):
-                trial = states[at].copy()
+                trial = states[at]
                 trial[:, 1:-1] += scale * step
                 res = self._eval(trial)
                 ok = res[0] <= e[at] + 1e-4 * scale * flat_dir
                 if ok.all():
-                    if at is sel and sel.__class__ is slice:
-                        states, (e, grad, m, v) = trial, res
-                    else:
-                        states[at], e[at], grad[at], m[at], v[at] = (
-                            (trial,) + res)
+                    states[at], e[at], grad[at], m[at], v[at] = (trial,) + res
                     iters[at] += 1
                     break
-                at = rows if at is sel else at
                 done = at[ok]
                 states[done] = trial[ok]
                 e[done], grad[done], m[done], v[done] = (r[ok] for r in res)
@@ -332,11 +328,11 @@ class GeodesicSolver:
             else:
                 failed = at                 # no acceptable step: give up
             done_iters += 1
-            flat = grad[sel].reshape(len(rows), -1)
-            gnorm[sel] = np.sqrt(row_dot(flat, flat))
+            flat = grad[rows].reshape(len(rows), -1)
+            gnorm[rows] = np.sqrt(row_dot(flat, flat))
             if done_iters >= self.max_iter:
                 return states, e, m, v, gnorm
-            todo[sel] = gnorm[sel] > self.tol * (1.0 + e[sel])
+            todo[rows] = gnorm[rows] > self.tol * (1.0 + e[rows])
             if failed is not None:
                 todo[failed] = False
             if not todo.any():

@@ -171,14 +171,8 @@ def projection_map(theta: np.ndarray, raw: np.ndarray, radius: float,
     raw = np.asarray(raw, dtype=float)
     norm_sq = row_dot(theta, theta)
     f = (norm_sq - radius * radius) / (eps * radius * radius)
-    if (f <= 0.0).all():          # every estimate inside the ball
-        return raw.copy()
     outward = row_dot(theta, raw)
     push = ~((f <= 0.0) | (outward <= 0.0))
-    if push.all():
-        return raw - (f * outward / norm_sq)[..., None] * theta
-    if not push.any():
-        return raw.copy()
     coef = f * outward / np.where(push, norm_sq, 1.0)
     return np.where(push[..., None], raw - coef[..., None] * theta, raw)
 

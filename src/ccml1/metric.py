@@ -241,6 +241,12 @@ class MetricField:
         as in :meth:`evaluate_batch`."""
         return self.evaluate_batch(xs, check_pd=check_pd)[2:]
 
+    def metric_and_active_partials(self, xs: np.ndarray, check_pd=True):
+        """(k, n, n) metric and its (k, len(active_coords), n, n) partials
+        along ``active_coords`` (the others are zero); ``check_pd`` as in
+        :meth:`evaluate_batch`."""
+        return self._terms(xs, check_pd)[2:]
+
     def evaluate_batch(self, xs: np.ndarray, check_pd=True):
         """Dual, dual partials, metric and metric partials at a batch of states.
 
@@ -253,11 +259,19 @@ class MetricField:
         ``row`` is its index in ``xs``.  A constant metric is never
         re-checked.
         """
+        duals, dual_partials, m, dm_active = self._terms(xs, check_pd)
+        dm = np.zeros((xs.shape[0],) + (self.dim,) * 3)
+        dm[:, self.active_index] = dm_active
+        return duals, dual_partials, m, dm
+
+    def _terms(self, xs: np.ndarray, check_pd):
+        """:meth:`evaluate_batch` with the metric partials along
+        ``active_coords`` only."""
         k, n = xs.shape[0], self.dim
         if self.constant_metric is not None:
             return (self.dual_poly.eval_batch(xs), np.zeros((k, 0, n, n)),
                     np.broadcast_to(self.constant_metric, (k, n, n)).copy(),
-                    np.zeros((k, n, n, n)))
+                    np.zeros((k, 0, n, n)))
         stack = self._fused.eval_batch(xs).reshape(k, -1, n, n)
         duals, dual_partials = stack[:, 0], stack[:, 1:]
         if check_pd is True:
@@ -265,8 +279,7 @@ class MetricField:
         elif check_pd is not False:
             _require_pd(duals, xs, order=check_pd)
         m = _inv_batch(duals)
-        dm = np.zeros((k, n, n, n))
-        dm[:, self.active_index] = -m[:, None] @ dual_partials @ m[:, None]
+        dm = -m[:, None] @ dual_partials @ m[:, None]
         return duals, dual_partials, m, dm
 
     # -- validation ---------------------------------------------------------

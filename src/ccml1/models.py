@@ -71,12 +71,11 @@ class ModelBatch(NamedTuple):
 class DynamicsModel:
     """Control-affine model given by per-state callables.
 
-    ``vectorized``, when given, maps a (k, n) batch of states to the
-    :class:`ModelBatch` that :meth:`eval_batch` returns, and
-    ``vectorized_rate`` to the drift and input matrix that
-    :meth:`rate_batch` returns; both must agree with the per-state
-    callables.  Without them those methods loop over the rows, so black-box
-    callables work unchanged.
+    ``uncertainty(t, x)``, when given, returns the matched uncertainty as an
+    (m,) vector.  ``vectorized``, when given, maps a (k, n) batch of states to the
+    :class:`ModelBatch` that :meth:`eval_batch` returns, and must agree with
+    the per-state callables.  Without it, :meth:`eval_batch` loops over the
+    rows, so black-box callables work unchanged.
     """
 
     state_dim: int
@@ -87,7 +86,6 @@ class DynamicsModel:
     d_input: Callable[[np.ndarray], np.ndarray] = None  # x -> (n, n, m), [i] = d(input)/dx_i
     uncertainty: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     vectorized: Optional[Callable[[np.ndarray], ModelBatch]] = None
-    vectorized_rate: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.jac_drift is None:
@@ -136,27 +134,18 @@ class DynamicsModel:
                      dtype=float).reshape(k, n, n, m))
 
     def rate_batch(self, xs: np.ndarray) -> ModelBatch:
-        """Drift and input matrix at a (k, n) batch of states, without the
-        derivatives (``jac`` and ``d_input`` are None): what a simulation
-        step needs.  A single state goes through the per-state callables,
-        which cost less than any array setup."""
-        k, n, m = xs.shape[0], self.state_dim, self.input_dim
-        if k == 1:
-            return ModelBatch(
-                np.asarray(self.drift(xs[0]), dtype=float).reshape(1, n),
-                None,
-                np.asarray(self.input_matrix(xs[0]),
-                           dtype=float).reshape(1, n, m),
-                None)
-        if self.vectorized_rate is not None:
-            drift, input_mat = self.vectorized_rate(xs)
-            return ModelBatch(drift, None, input_mat, None)
-        return ModelBatch(
-            np.array([self.drift(x) for x in xs], dtype=float).reshape(k, n),
-            None,
-            np.array([self.input_matrix(x) for x in xs],
-                     dtype=float).reshape(k, n, m),
-            None)
+        """Drift and input matrix at each row of a (k, n) stack of states,
+        without the derivatives (``jac`` and ``d_input`` are None): what a
+        simulation step needs.  Every row goes through the per-state
+        callables, so it carries the bits the model gives that state alone,
+        whatever the stack around it."""
+        k = xs.shape[0]
+        drift = np.empty((k, self.state_dim))
+        input_mat = np.empty((k, self.state_dim, self.input_dim))
+        for i, x in enumerate(xs):
+            drift[i] = self.drift(x)
+            input_mat[i] = self.input_matrix(x)
+        return ModelBatch(drift, None, input_mat, None)
 
     def nominal_rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """drift(x) + input_matrix(x) @ u — the uncertainty-free vector field."""
@@ -414,10 +403,10 @@ class DesiredTrajectory:
         us = self.inputs[:-1]
         x = self.states[:-1]
         for j in range(per):
-            k1 = model.rate_batch(x).rate(us)
-            k2 = model.rate_batch(x + 0.5 * dt * k1).rate(us)
-            k3 = model.rate_batch(x + 0.5 * dt * k2).rate(us)
-            k4 = model.rate_batch(x + dt * k3).rate(us)
+            k1 = model.eval_batch(x).rate(us)
+            k2 = model.eval_batch(x + 0.5 * dt * k1).rate(us)
+            k3 = model.eval_batch(x + 0.5 * dt * k2).rate(us)
+            k4 = model.eval_batch(x + dt * k3).rate(us)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[j + 1::per] = x
         return DesiredTrajectory(t0=self.t0, dt=dt, states=states,
@@ -451,20 +440,12 @@ def _ex1_jac(x):
                      [0.0, -1.0, 0.0]])
 
 
-def _ex1_rate(xs):
+def _ex1_batch(xs):
     # the per-state formulas above, one array operation per entry
     x0, x1, x2 = xs[:, 0], xs[:, 1], xs[:, 2]
-    drift = np.empty_like(xs)
-    drift[:, 0] = -x0 + x2
-    drift[:, 1] = x0 * x0 - 2.0 * x0 * x2 - x1 + x2
-    drift[:, 2] = -x1
-    return drift, np.repeat(_EX1_B[None], xs.shape[0], axis=0)
-
-
-def _ex1_batch(xs):
-    x0, x2 = xs[:, 0], xs[:, 2]
     k = xs.shape[0]
-    drift, input_mat = _ex1_rate(xs)
+    drift = np.stack([-x0 + x2, x0 * x0 - 2.0 * x0 * x2 - x1 + x2, -x1],
+                     axis=1)
     jac = np.zeros((k, 3, 3))
     jac[:, 0, 0] = -1.0
     jac[:, 0, 2] = 1.0
@@ -472,7 +453,8 @@ def _ex1_batch(xs):
     jac[:, 1, 1] = -1.0
     jac[:, 1, 2] = -2.0 * x0 + 1.0
     jac[:, 2, 1] = -1.0
-    return ModelBatch(drift, jac, input_mat, np.zeros((k, 3, 3, 1)))
+    return ModelBatch(drift, jac, np.repeat(_EX1_B[None], k, axis=0),
+                      np.zeros((k, 3, 3, 1)))
 
 
 def _ex1_uncertainty(t, x):
@@ -509,7 +491,7 @@ def _make_ex1() -> BuiltinSystem:
         jac_drift=_ex1_jac,
         d_input=lambda x: np.zeros((3, 3, 1)),
         uncertainty=_ex1_uncertainty,
-        vectorized=_ex1_batch, vectorized_rate=_ex1_rate)
+        vectorized=_ex1_batch)
     metric = MetricField.from_dual_polynomial(
         _ex1_dual_poly(), contraction_rate=_EX1_RATE,
         eig_floor=_EX1_EIG[0], eig_ceil=_EX1_EIG[1],
@@ -548,24 +530,18 @@ def _pow(col, p: float) -> np.ndarray:
     return np.array([math.pow(v, p) for v in col.tolist()])
 
 
-def _ex2_rate(xs):
-    x0, x1 = xs[:, 0], xs[:, 1]
-    drift = np.empty_like(xs)
-    drift[:, 0] = -x0 + 2.0 * x1
-    drift[:, 1] = -0.25 * _pow(x1, 3.0) - 3.0 * x0 + 4.0 * x1
-    return drift, np.repeat(_EX2_B[None], xs.shape[0], axis=0)
-
-
 def _ex2_batch(xs):
-    x1 = xs[:, 1]
+    x0, x1 = xs[:, 0], xs[:, 1]
     k = xs.shape[0]
-    drift, input_mat = _ex2_rate(xs)
+    drift = np.stack([-x0 + 2.0 * x1,
+                      -0.25 * _pow(x1, 3.0) - 3.0 * x0 + 4.0 * x1], axis=1)
     jac = np.empty((k, 2, 2))
     jac[:, 0, 0] = -1.0
     jac[:, 0, 1] = 2.0
     jac[:, 1, 0] = -3.0
     jac[:, 1, 1] = 4.0 - 0.75 * _pow(x1, 2.0)
-    return ModelBatch(drift, jac, input_mat, np.zeros((k, 2, 2, 1)))
+    return ModelBatch(drift, jac, np.repeat(_EX2_B[None], k, axis=0),
+                      np.zeros((k, 2, 2, 1)))
 
 
 def _ex2_uncertainty(t, x):
@@ -590,7 +566,7 @@ def _make_ex2() -> BuiltinSystem:
         jac_drift=_ex2_jac,
         d_input=lambda x: np.zeros((2, 2, 1)),
         uncertainty=_ex2_uncertainty,
-        vectorized=_ex2_batch, vectorized_rate=_ex2_rate)
+        vectorized=_ex2_batch)
     safe = SafeSet.box(np.zeros(2), _EX2_BOX)
     metric = MetricField.constant_dual(
         _EX2_DUAL, contraction_rate=_EX2_RATE,

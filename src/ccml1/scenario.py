@@ -193,15 +193,11 @@ class Scenario:
             return ModelBatch(f[:, 0], f[:, 1:].swapaxes(1, 2), b[:, 0],
                               b[:, 1:])
 
-        def vectorized_rate(xs):
-            return drift_poly.eval_batch(xs)[:, :, 0], b_poly.eval_batch(xs)
-
         unc = self._uncertainty_fn(model_doc.get("uncertainty"), m)
         model = DynamicsModel(state_dim=n, input_dim=m, drift=drift,
                               input_matrix=input_matrix, jac_drift=jac,
                               d_input=d_input, uncertainty=unc,
-                              vectorized=vectorized,
-                              vectorized_rate=vectorized_rate)
+                              vectorized=vectorized)
 
         metric_doc = self.doc.get("metric")
         _require(metric_doc is not None, "inline model needs a 'metric'")

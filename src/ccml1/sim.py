@@ -126,12 +126,30 @@ class Loop:
     The adaptive channel applies the L1 filter output (``l1``), the true
     uncertainty through the ideal first-order low-pass of the given
     ``bandwidth`` (the reference system), or nothing; ``uncertain`` says
-    whether the true uncertainty acts on the plant.
+    whether the true uncertainty acts on the plant, as it must wherever the
+    adaptive channel is used.
     """
 
     l1: L1Config | None = None
     bandwidth: float | None = None
     uncertain: bool = True
+
+    def __post_init__(self):
+        if self.l1 is not None and self.bandwidth is not None:
+            raise ValueError("a loop applies the L1 output or the filtered "
+                             "uncertainty, not both")
+        if self.kind < 2 and not self.uncertain:
+            raise ValueError("an augmented loop runs under the uncertainty")
+
+    @property
+    def kind(self) -> int:
+        """0 with the L1 augmentation, 1 for the reference loop, 2 without
+        augmentation under the uncertainty, 3 without either."""
+        if self.l1 is not None:
+            return 0
+        if self.bandwidth is not None:
+            return 1
+        return 2 if self.uncertain else 3
 
 
 def integrate_closed_loop(l1: L1Config | None) -> Loop:
@@ -164,73 +182,73 @@ def _alive(x: np.ndarray, limit: float) -> list[bool]:
             for s in row_dot(x, x).tolist()]
 
 
-def _no_uncertainty(t, x):
-    return 0.0
-
-
 class _Rows:
-    """The rows of a batch still running: their states, settings and model
-    terms.  Arrays over the L1 rows and over the reference rows are kept
-    apart; ``keep`` drops stopped rows from all of them.
+    """The rows of a batch still running, as one stack ordered by
+    :attr:`Loop.kind`: the ``n_l1`` L1 rows first, then the reference rows
+    (the first ``n_aug`` rows have an adaptive channel), then the other
+    rows under the uncertainty (the first ``n_unc``), then the nominal rows.
+    ``ids`` maps each row to its index in the batch; :meth:`keep` drops
+    stopped rows from every array.
 
-    ``ids`` maps each row to its index in the batch, ``rec`` selects the
-    rows in the batch-sized records (a slice while every row runs),
-    ``l1_sel`` the L1 rows among the running ones and ``l1_rec`` them in
-    the records.
+    ``z`` joins each row's state and predictor state.  A row without the L1
+    augmentation advances its state in both halves, so its predictor half
+    equals its state bit for bit.  Where a row has no adaptive channel, or
+    runs without the uncertainty, ``u_a`` and ``unc_pad`` hold -0.0, the one
+    value whose addition changes no bit.
     """
 
     def __init__(self, model: DynamicsModel, loops: Sequence[Loop],
                  x0: np.ndarray, dt: float):
-        k, m = len(loops), model.input_dim
-        self.model_uncertain = model.uncertainty is not None
-        self.ids = np.arange(k)
-        self.x = x0.copy()
-        self.at = model.rate_batch(self.x)      # model terms at the states
-        self.l1 = np.array([lp.l1 is not None for lp in loops])
-        self.ref = np.array([lp.bandwidth is not None for lp in loops])
-        self.uncertain = np.array([lp.uncertain for lp in loops])
-        self.l1_cfg = (L1Rows.stack([lp.l1 for lp in loops if lp.l1])
-                       if self.l1.any() else None)
-        self.est = L1State.start(self.x[self.l1], m)
-        self.ref_decay = np.array([math.exp(-lp.bandwidth * dt) for lp in loops
-                                   if lp.bandwidth is not None])
-        # the reference rows' low-pass of the true uncertainty, and what
-        # each row's adaptive channel applies
-        self.eta = np.zeros((int(self.ref.sum()), m))
-        self.u_a = np.zeros((k, m))
-        self.u_a[self.ref] = -self.eta
+        kinds = [lp.kind for lp in loops]
+        self.ids = np.argsort(kinds, kind="stable")
+        loops = [loops[i] for i in self.ids.tolist()]
+        self.n_l1, self.n_aug, self.n_unc = np.cumsum(
+            np.bincount(kinds, minlength=4))[:3].tolist()
+        self.m = model.input_dim
+        x = x0[self.ids]
+        self.z = np.concatenate([x, x], axis=1)
+        self.at = model.rate_batch(x)           # model terms at the states
+        l1 = [lp.l1 for lp in loops[:self.n_l1]]
+        self.l1_cfg = L1Rows.stack(l1) if l1 else None
+        self.est = L1State.start(x[:self.n_l1], self.m)
+        self.ref_decay = np.array([math.exp(-lp.bandwidth * dt) for lp in
+                                   loops[self.n_l1:self.n_aug]])[:, None]
+        # the reference rows' low-pass of the true uncertainty
+        self.eta = np.zeros((self.n_aug - self.n_l1, self.m))
         self.warm = None
-        self._index(k)
+        self._pad()
+        self.adapt()
 
-    def _index(self, k: int):
-        every = len(self.ids) == k
-        self.rec = slice(None) if every else self.ids
-        l1_at = np.flatnonzero(self.l1)
-        self.has_l1 = len(l1_at) > 0
-        self.all_l1 = len(l1_at) == len(self.ids)
-        self.l1_sel = slice(None) if self.all_l1 else l1_at
-        self.l1_rec = self.rec if self.all_l1 else self.ids[l1_at]
-        self.ref_at = np.flatnonzero(self.ref)
-        self.unc_at = np.flatnonzero(self.uncertain).tolist()
-        # the model's uncertainty (or 0.0 without one) returns m values
-        self.all_uncertain = (bool(self.uncertain.all())
-                              and self.model_uncertain)
-        augmented = self.l1 | self.ref
-        self.augmented = None if augmented.all() else augmented[:, None]
+    def _pad(self):
+        k = len(self.ids)
+        self.u_pad = np.full((k - self.n_aug, self.m), -0.0)
+        self.unc_pad = [np.full(self.m, -0.0)] * (k - self.n_unc)
 
-    def keep(self, keep: np.ndarray, k: int):
-        on_l1, on_ref = keep[self.l1], keep[self.ref]
+    @property
+    def x(self) -> np.ndarray:
+        return self.z[:, :self.z.shape[1] // 2]
+
+    def adapt(self):
+        """The adaptive channel of every row."""
+        self.u_a = np.concatenate([self.est.u_adaptive, -self.eta,
+                                   self.u_pad])
+
+    def keep(self, keep: np.ndarray):
+        a, g = self.n_l1, self.n_aug
         if self.l1_cfg is not None:
-            self.l1_cfg = self.l1_cfg.rows(on_l1)
-        self.est = self.est.rows(on_l1)
-        self.ref_decay, self.eta = self.ref_decay[on_ref], self.eta[on_ref]
-        for name in ("ids", "x", "l1", "ref", "uncertain", "u_a"):
-            setattr(self, name, getattr(self, name)[keep])
+            self.l1_cfg = self.l1_cfg.rows(keep[:a])
+        self.est = self.est.rows(keep[:a])
+        self.ref_decay = self.ref_decay[keep[a:g]]
+        self.eta = self.eta[keep[a:g]]
+        self.u_a = self.u_a[keep]
+        self.ids, self.z = self.ids[keep], self.z[keep]
         self.at = self.at._replace(drift=self.at.drift[keep],
                                    input=self.at.input[keep])
         if self.warm is not None:
             self.warm = self.warm[keep]
-        self._index(k)
+        self.n_l1, self.n_aug, self.n_unc = (
+            int(keep[:c].sum()) for c in (a, g, self.n_unc))
+        self._pad()
 
 
 def lockstep(model: DynamicsModel, field: MetricField,
@@ -249,51 +267,57 @@ def lockstep(model: DynamicsModel, field: MetricField,
     solver = GeodesicSolver(field, n_intervals=cfg.geodesic_intervals,
                             tol=cfg.geodesic_tol,
                             enforce_domain=cfg.enforce_domain)
-    h = model.uncertainty or _no_uncertainty
+    no_uncertainty = np.zeros(m)
+    h = model.uncertainty or (lambda t, x: no_uncertainty)
     rows = _Rows(model, loops, np.array(np.broadcast_to(
         np.asarray(x0, dtype=float), (k, n))), dt)
     times = np.arange(steps + 1) * dt
     # the desired path and its nominal rate, for every step at once
     states_star, inputs_star = traj_star.sample(times)
     rates_star = model.rate_batch(states_star).rate(inputs_star)
-    rec_x, rec_xh = np.zeros((k, steps + 1, n)), np.zeros((k, steps + 1, n))
-    rec_uc, rec_ua, rec_sigma = (np.zeros((k, steps + 1, m))
-                                 for _ in range(3))
-    rec_xt, rec_energy = np.zeros((k, steps + 1)), np.zeros((k, steps + 1))
-    length = np.full(k, steps + 1)
-    stopped: list = [None] * k
+    # the records of the running rows, in stack order: row r of the stack
+    # records into row r of each array
+    rec_x, rec_xh, rec_uc, rec_ua, rec_sigma, rec_xt, rec_energy = records = [
+        np.zeros((k, steps + 1) + shape)
+        for shape in ((n,), (n,), (m,), (m,), (m,), (), ())]
     warnings: list[list[str]] = [[] for _ in range(k)]
+    runs: list = [None] * k
+
+    def finish(r: int, size: int, reason=None, copy=False):
+        """The trajectory of stack row ``r`` over its first ``size`` steps."""
+        x, x_hat, u_c, u_a, sigma, x_tilde, energy = (
+            a[r, :size].copy() if copy else a[r, :size] for a in records)
+        i = rows.ids[r]
+        runs[i] = Trajectory(
+            times=times[:size], states=x, states_star=states_star[:size],
+            u_feedback=u_c, u_adaptive=u_a, sigma_hat=sigma, x_hat=x_hat,
+            xtilde_norm=x_tilde, energy=energy, warnings=warnings[i],
+            stopped=reason)
 
     def stop(keep: np.ndarray, reason, recorded: int):
-        for i in rows.ids[~keep].tolist():
-            stopped[i], length[i] = reason(), recorded
-        rows.keep(keep, k)
+        """Stop the rows ``keep`` leaves out after ``recorded`` steps; the
+        rows kept move up the stack, and their records with them."""
+        for r in np.flatnonzero(~keep).tolist():
+            finish(r, recorded, reason(), copy=True)
+        for dst, src in enumerate(np.flatnonzero(keep).tolist()):
+            if dst != src:
+                for a in records:
+                    a[dst, :recorded] = a[src, :recorded]
+        rows.keep(keep)
 
     def rates(tt, z, at, u_held, u_est):
-        """Plant rates of every row, then predictor rates of the L1 rows
-        (``u_est`` is their held input plus their held estimate)."""
-        xx = z[:, :n] if rows.has_l1 else z
-        w = u_held
-        if rows.all_uncertain:
-            w = u_held + (h(tt, xx[0]) if len(xx) == 1
-                          else np.array([h(tt, x) for x in xx]))
-        elif rows.unc_at:
-            w = u_held.copy()
-            for i in rows.unc_at:
-                w[i] = u_held[i] + h(tt, xx[i])
-        plant = at.rate(w)
-        if not rows.has_l1:
-            return plant
-        if rows.all_l1:
-            return np.concatenate([plant, predictor_rate(
-                rows.l1_cfg, at.drift, at.input, u_est, z[:, n:], xx)],
-                axis=1)
-        sel = rows.l1_sel
-        out = np.zeros_like(z)
-        out[:, :n] = plant
-        out[sel, n:] = predictor_rate(rows.l1_cfg, at.drift[sel],
-                                      at.input[sel], u_est, z[sel, n:],
-                                      xx[sel])
+        """Rates of the joint states ``z`` of every row, the model terms
+        ``at`` at their states, under the held inputs (``u_est`` is the L1
+        rows' held input plus their estimate)."""
+        x = z[:, :n]
+        plant = at.rate(u_held + np.array(
+            [h(tt, xi) for xi in x[:rows.n_unc]] + rows.unc_pad))
+        out = np.concatenate([plant, plant], axis=1)
+        a = rows.n_l1
+        if a:
+            out[:a, n:] = predictor_rate(rows.l1_cfg, at.drift[:a],
+                                         at.input[:a], u_est, z[:a, n:],
+                                         x[:a])
         return out
 
     for step in range(steps + 1):
@@ -315,89 +339,59 @@ def lockstep(model: DynamicsModel, field: MetricField,
         rows.warm = curve.states
         fb = feedback_gain(field, curve, rates_star[here],
                            rows.at.rate(inputs_star[here]), rows.at.input)
+        ids, a, g = rows.ids, rows.n_l1, rows.n_aug
         if not curve.converged:
             for i in np.flatnonzero(~curve.converged_rows).tolist():
-                warnings[rows.ids[i]].append(
+                warnings[ids[i]].append(
                     f"step {step}: geodesic not converged "
                     f"(grad {curve.grad_norm[i]:.2e})")
         if fb.infeasible:
             for i in np.flatnonzero(fb.infeasible_rows).tolist():
-                warnings[rows.ids[i]].append(
+                warnings[ids[i]].append(
                     f"step {step}: feedback constraint degenerated")
         u_c = inputs_star[step] + fb.gain
 
-        x, est, rec = rows.x, rows.est, rows.rec
-        rec_x[rec, step] = x
-        rec_uc[rec, step] = u_c
-        rec_ua[rec, step] = rows.u_a
-        rec_energy[rec, step] = curve.energy
-        if not rows.all_l1:
-            rec_xh[rec, step] = x
-        if rows.has_l1:
-            rec_sigma[rows.l1_rec, step] = est.sigma_hat
-            rec_xh[rows.l1_rec, step] = est.x_hat
-            x_tilde = est.prediction_error(x[rows.l1_sel])
-            rec_xt[rows.l1_rec, step] = np.sqrt(row_dot(x_tilde, x_tilde))
+        x, est, run = rows.x, rows.est, len(ids)
+        rec_x[:run, step] = x
+        rec_xh[:run, step] = rows.z[:, n:]
+        rec_uc[:run, step] = u_c
+        rec_ua[:g, step] = rows.u_a[:g]
+        rec_energy[:run, step] = curve.energy
+        if a:
+            rec_sigma[:a, step] = est.sigma_hat
+            x_tilde = est.prediction_error(x[:a])
+            rec_xt[:a, step] = np.sqrt(row_dot(x_tilde, x_tilde))
         if step == steps:
             break
 
-        # the unaugmented rows add no zero vector: -0.0 + 0.0 is +0.0
         u_held = u_c + rows.u_a
-        if rows.augmented is not None:
-            u_held = np.where(rows.augmented, u_held, u_c)
-        if not rows.has_l1:
-            z = x
-        elif rows.all_l1:
-            z = np.concatenate([x, est.x_hat], axis=1)
-        else:
-            z = np.zeros((len(rows.ids), 2 * n))
-            z[:, :n] = x
-            z[rows.l1_sel, n:] = est.x_hat
-        u_est = u_held[rows.l1_sel] + est.sigma_hat if rows.has_l1 else None
-
-        def fun(tt, zz):
-            at = model.rate_batch(zz[:, :n] if rows.has_l1 else zz)
-            return rates(tt, zz, at, u_held, u_est)
-
-        z = rk4_step(fun, t, z, dt, k1=rates(t, z, rows.at, u_held, u_est))
-        if rows.has_l1:
-            rows.x = z[:, :n].copy()
-            est.x_hat = z[rows.l1_sel, n:]
-        else:
-            rows.x = z
+        u_est = u_held[:a] + est.sigma_hat
+        rows.z = rk4_step(
+            lambda tt, zz: rates(tt, zz, model.rate_batch(zz[:, :n]),
+                                 u_held, u_est),
+            t, rows.z, dt, k1=rates(t, rows.z, rows.at, u_held, u_est))
         alive = _alive(rows.x, cfg.divergence_limit)
         if not all(alive):
             stop(np.array(alive), lambda: DivergenceError(
                 f"state diverged at step {step}"), step + 1)
             if not len(rows.ids):
                 break
-        x, est = rows.x, rows.est
+        x, est, a, g = rows.x, rows.est, rows.n_l1, rows.n_aug
         rows.at = model.rate_batch(x)
 
-        if rows.has_l1:
-            sel = rows.l1_sel
-            adaptation_step(rows.l1_cfg, est, x[sel], rows.at.input[sel], dt)
+        if a:
+            est.x_hat = rows.z[:a, n:]
+            adaptation_step(rows.l1_cfg, est, x[:a], rows.at.input[:a], dt)
             filter_step(rows.l1_cfg, est, dt)
-            if rows.all_l1:
-                rows.u_a = est.u_adaptive
-            else:
-                rows.u_a[sel] = est.u_adaptive
-        if len(rows.ref_at):
-            hv = np.array([np.broadcast_to(h(t + dt, x[i]), (m,))
-                           for i in rows.ref_at.tolist()])
-            decay = rows.ref_decay[:, None]
-            rows.eta = decay * rows.eta + (1.0 - decay) * hv
-            rows.u_a[rows.ref_at] = -rows.eta
+        if g > a:
+            decay = rows.ref_decay
+            rows.eta = decay * rows.eta + (1.0 - decay) * np.array(
+                [h(t + dt, xi) for xi in x[a:g]])
+        rows.adapt()
 
-    return [Trajectory(times=times[:size], states=rec_x[i, :size],
-                       states_star=states_star[:size],
-                       u_feedback=rec_uc[i, :size],
-                       u_adaptive=rec_ua[i, :size],
-                       sigma_hat=rec_sigma[i, :size], x_hat=rec_xh[i, :size],
-                       xtilde_norm=rec_xt[i, :size],
-                       energy=rec_energy[i, :size], warnings=warnings[i],
-                       stopped=stopped[i])
-            for i, size in enumerate(length.tolist())]
+    for r in range(len(rows.ids)):
+        finish(r, steps + 1)
+    return runs
 
 
 # --- planning ----------------------------------------------------------------

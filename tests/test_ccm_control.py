@@ -183,7 +183,8 @@ def test_feedback_makes_no_metric_evaluations(ex1, monkeypatch):
             return method(self, *args, **kwargs)
         return wrapped
 
-    for name in ("metric_batch", "metric_and_partials_batch"):
+    for name in ("metric_batch", "metric_and_partials_batch",
+                 "metric_and_active_partials"):
         monkeypatch.setattr(MetricField, name,
                             counting(getattr(MetricField, name)))
 

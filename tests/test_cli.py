@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccml1 import cli
 from ccml1.cli import main
 from ccml1.scenario import SCHEMA_VERSION, builtin_scenario, canonical_json
+from ccml1.sim import lockstep
 
 
 def _short_ex1_doc(**extra):
@@ -292,6 +294,46 @@ class TestSweep:
         assert rows[0][-1].startswith("ValueError")
         assert rows[1][-1] == "ok" and rows[2][-1] == "ok"
         assert "3 combinations, 2 ran cleanly" in capsys.readouterr().out
+
+    def _counted_sweep(self, tmp_path, monkeypatch, name, raise_at=None):
+        """Run a five-gain sweep (one tube radius) and return its CSV bytes
+        and the size of every batch of loops it ran.  A batch holding the
+        loop of gain ``raise_at`` raises, as a failing callable would."""
+        sizes = []
+
+        def counted(model, field, traj_star, x0, cfg, loops):
+            sizes.append(len(loops))
+            if any(lp.l1.adaptation_gain == raise_at for lp in loops):
+                raise ValueError("uncertainty callable failed")
+            return lockstep(model, field, traj_star, x0, cfg, loops)
+
+        monkeypatch.setattr(cli, "lockstep", counted)
+        doc = _short_ex1_doc(sweep={"gamma": [1e4, 3e4, 1e5, 3e5, 1e6]})
+        out = tmp_path / name
+        assert main(["sweep", "--scenario", str(_write(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        return (out / "sweep.csv").read_bytes(), sizes
+
+    def test_a_radius_group_runs_in_bounded_batches(self, tmp_path,
+                                                    monkeypatch):
+        whole, sizes = self._counted_sweep(tmp_path, monkeypatch, "whole")
+        assert sizes == [5]
+        monkeypatch.setattr(cli, "SWEEP_BATCH", 2)
+        split, sizes = self._counted_sweep(tmp_path, monkeypatch, "split")
+        assert sizes == [2, 2, 1]
+        assert split == whole
+
+    def test_a_loop_that_raises_fails_only_its_row(self, tmp_path,
+                                                   monkeypatch):
+        clean, _ = self._counted_sweep(tmp_path, monkeypatch, "clean")
+        got, sizes = self._counted_sweep(tmp_path, monkeypatch, "raises",
+                                         raise_at=1e5)
+        # the batch raises, then each loop runs alone
+        assert sizes == [5, 1, 1, 1, 1, 1]
+        clean_rows = clean.decode().splitlines()
+        got_rows = got.decode().splitlines()
+        assert got_rows[3].endswith(",ValueError: uncertainty callable failed")
+        assert got_rows[:3] + got_rows[4:] == clean_rows[:3] + clean_rows[4:]
 
     def test_auto_axis_needs_explicit_list(self, tmp_path, capsys):
         doc = _short_ex1_doc(l1={"omega": "auto", "gamma": 1e4},

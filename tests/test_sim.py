@@ -16,7 +16,7 @@ from ccml1.l1_control import (L1Config, L1Rows, L1State, adaptation_step,
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import DesiredTrajectory, DynamicsModel, SafeSet
 from ccml1.scenario import SCHEMA_VERSION, Scenario
-from ccml1.sim import (SimConfig, Trajectory, _rk4_with_sensitivities,
+from ccml1.sim import (Loop, SimConfig, Trajectory, _rk4_with_sensitivities,
                        containment, ilqr_plan, integrate_closed_loop,
                        integrate_nominal_ccm, integrate_reference, lockstep,
                        rk4_step)
@@ -321,6 +321,11 @@ def _serial_sensitivities(model, xs, us, dt):
 
 def _inline_two_input_model():
     """Inline polynomial plant with a state-dependent 2x2 input matrix."""
+    return _inline_two_input_system().model
+
+
+def _inline_two_input_system():
+    """The inline two-input plant with its (identity) metric."""
     def term(powers, coeff):
         return {"powers": powers, "coeff": coeff}
 
@@ -340,7 +345,7 @@ def _inline_two_input_model():
                    "rate": 0.1, "eig_floor": 0.9, "eig_ceil": 1.1},
         "sim": {"dt": 0.01, "t_final": 1.0},
     }
-    return Scenario.from_dict(doc).system().model
+    return Scenario.from_dict(doc).system()
 
 
 def _black_box(model):
@@ -790,6 +795,37 @@ class TestLockstep:
             [[0.3, -0.2], [-0.1, 0.4], [0.0, 0.0], [0.5, 0.5], [0.2, 0.1]])
         _assert_batch_equals_serial(ex2, _mixed_rows(_ex2_l1, 5),
                                     ex2_plan_fine, x0s, cfg)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_inline_rows_equal_serial_runs(self, k):
+        # the inline polynomial plant: a row's model terms must not depend
+        # on the rows beside it (a stacked polynomial evaluation rounds
+        # differently from the per-state one)
+        sysb = _inline_two_input_system()
+        sysb = sysb._replace(model=dataclasses.replace(
+            sysb.model, uncertainty=lambda t, x: np.array(
+                [0.2 * math.sin(2.0 * t) + 0.1 * x[0], -0.1 * x[0] * x[1]])))
+        traj_star = DesiredTrajectory.constant(np.zeros(2), np.zeros(2),
+                                               t_final=0.3, dt=1e-2)
+        cfg = _cfg(dt=1e-2, t_final=0.3)
+        x0s = np.random.default_rng(k).uniform(-0.5, 0.5, size=(k, 2))
+
+        def l1(gamma, omega):
+            return L1Config(state_dim=2, input_dim=2, bandwidth=omega,
+                            adaptation_gain=gamma, unc_bound=0.5)
+
+        _assert_batch_equals_serial(sysb, _mixed_rows(l1, k), traj_star,
+                                    x0s, cfg)
+
+    def test_a_loop_is_one_kind(self):
+        with pytest.raises(ValueError, match="not both"):
+            Loop(l1=_ex1_l1(), bandwidth=50.0)
+        with pytest.raises(ValueError, match="under the uncertainty"):
+            Loop(bandwidth=50.0, uncertain=False)
+        assert [lp.kind for lp in (
+            integrate_closed_loop(_ex1_l1()), integrate_reference(50.0),
+            integrate_closed_loop(None), integrate_nominal_ccm())] == [
+                0, 1, 2, 3]
 
     def test_a_diverging_row_stops_alone(self, ex1):
         # from rest at the target, the disturbance pushes the uncertain
