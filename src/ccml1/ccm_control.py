@@ -33,7 +33,6 @@ class CcmFeedbackResult:
     """Row-wise feedback of a batch of geodesics."""
 
     gain: np.ndarray             # (K, m) min-norm input corrections
-    constraint_slack: np.ndarray  # (K,) b; b >= 0: the constraint was inactive
     active_rows: np.ndarray      # (K,) the correction is nonzero
     infeasible_rows: np.ndarray  # (K,) the constraint normal degenerated
 
@@ -63,10 +62,8 @@ def feedback_gain(field: MetricField, curve: GeodesicCurve,
     metric), the row's gain is zero and it is flagged infeasible; callers
     log it as a certificate violation.
     """
-    m_x = curve.endpoint_metric("end")
-    m_des = curve.endpoint_metric("start")
-    v_end = curve.endpoint_velocity("end")
-    v_start = curve.endpoint_velocity("start")
+    m_x, m_des = curve.metrics[:, -1], curve.metrics[:, 0]
+    v_end, v_start = curve.velocities[:, -1], curve.velocities[:, 0]
     lam = field.contraction_rate
 
     # decay constraint in the input correction k:  a @ k <= b
@@ -87,5 +84,5 @@ def feedback_gain(field: MetricField, curve: GeodesicCurve,
     infeasible = zero & (b < 0.0)
     if infeasible.any():
         infeasible &= a_sq <= _DEGENERATE_RATIO ** 2 * row_dot(v_end, v_end)
-    return CcmFeedbackResult(gain=gain, constraint_slack=b,
-                             active_rows=active, infeasible_rows=infeasible)
+    return CcmFeedbackResult(gain=gain, active_rows=active,
+                             infeasible_rows=infeasible)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleCertificate
 from .geodesic import GeodesicSolver
 from .l1_control import L1Config
-from .metric import MetricField, sym
+from .metric import MetricField, finite_or_none, sym
 from .models import (AssumptionBounds, DesiredTrajectory, DynamicsModel,
                      row_dot)
 
@@ -277,12 +277,13 @@ def estimate_deltas(model: DynamicsModel, field: MetricField,
 
     # --- metric-coupled constants ----------------------------------------------
     duals, dual_partials, _, dm = field.evaluate_batch(pts)
-    metric_grad_sum = float(
-        np.linalg.norm(dm, ord=2, axis=(2, 3)).sum(axis=1).max()) * infl
-    prov["metric_grad_sum"] = "sampled" if not field.is_constant \
-        else "closed-form"
     if field.is_constant:
         metric_grad_sum = 0.0
+        prov["metric_grad_sum"] = "closed-form"
+    else:
+        metric_grad_sum = float(
+            np.linalg.norm(dm, ord=2, axis=(2, 3)).sum(axis=1).max()) * infl
+        prov["metric_grad_sum"] = "sampled"
 
     alpha_lo, alpha_hi = field.eig_floor, field.eig_ceil
     lam = field.contraction_rate
@@ -415,9 +416,6 @@ class TubeCertificate:
     margin_adaptation: float     # adaptation-rate condition
     alpha_lo: float
     rate: float
-    filter_gain_norm: float = 1.0
-    filter_complement_norm: float = 2.0
-    filter_derivative_norm: float = 0.0
     domain_exceeded: bool = False
 
     @property
@@ -430,11 +428,10 @@ class TubeCertificate:
         return math.sqrt(math.exp(-2.0 * self.rate * horizon)
                          * self.energy0 / self.alpha_lo + self.zeta1)
 
-    def delta_t(self, horizon: float) -> float:
-        """Total radius (transient plus adaptation floor) at a given time."""
-        return self.mu(horizon) + self.rho_a
-
     def as_dict(self) -> dict:
+        """JSON form; a non-finite margin is written as null.  The filter
+        norms are those of the first-order low-pass: passband gain 1,
+        complement 2, derivative 2 omega."""
         return {
             "eps": self.eps, "rho_a": self.rho_a, "rho_r": self.rho_r,
             "rho": self.rho, "omega": self.omega, "gamma": self.gamma,
@@ -442,16 +439,13 @@ class TubeCertificate:
             "zeta": [self.zeta1, self.zeta2, self.zeta3],
             "drive_bound": self.drive_bound,
             "margins": {
-                "energy": self.margin_energy,
-                "bandwidth": self.margin_bandwidth,
-                "adaptation": self.margin_adaptation,
+                "energy": finite_or_none(self.margin_energy),
+                "bandwidth": finite_or_none(self.margin_bandwidth),
+                "adaptation": finite_or_none(self.margin_adaptation),
             },
             "valid": self.valid,
-            "filter_norms": {
-                "gain": self.filter_gain_norm,
-                "complement": self.filter_complement_norm,
-                "derivative": self.filter_derivative_norm,
-            },
+            "filter_norms": {"gain": 1.0, "complement": 2.0,
+                             "derivative": 2.0 * self.omega},
             "domain_exceeded": self.domain_exceeded,
         }
 
@@ -509,7 +503,6 @@ def check_conditions(field: MetricField, d: DeltaConstants, omega: float,
         energy0=energy0, zeta1=z1, zeta2=z2, zeta3=z3, drive_bound=drive,
         margin_energy=margin_energy, margin_bandwidth=margin_bandwidth,
         margin_adaptation=margin_adaptation, alpha_lo=d.alpha_lo, rate=d.rate,
-        filter_derivative_norm=2.0 * omega,
         domain_exceeded=d.domain_exceeded)
 
 

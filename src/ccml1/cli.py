@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import math
 import sys
 from pathlib import Path
@@ -46,8 +45,8 @@ EXIT_DIVERGED = 3
 
 _GAMMA_DT_WARN = 1e3
 # Most loops a sweep runs in one batch.  A batch holds every row's records
-# for the whole horizon, so this bounds the sweep's memory (about 88 bytes
-# per step and row) while keeping most of the batching gain.
+# for the whole horizon, so this bounds the sweep's memory (about 64 bytes
+# per step and row on ex1) while keeping most of the batching gain.
 SWEEP_BATCH = 16
 
 
@@ -239,12 +238,11 @@ def cmd_certify(scn: Scenario, args, out: Path) -> int:
         "x0_star": [float(v) for v in traj_star.states[0]],
     }
     _write_json(out / "certificate.json", report)
-    marg = cert.as_dict()["margins"]
     print(f"certificate {'valid' if cert.valid else 'INVALID'} "
           f"(omega={cert.omega:.6g}, gamma={cert.gamma:.6g}, "
-          f"rho={cert.rho:.6g}); margins: energy={marg['energy']:.3g}, "
-          f"bandwidth={marg['bandwidth']:.3g}, "
-          f"adaptation={marg['adaptation']:.3g}")
+          f"rho={cert.rho:.6g}); margins: energy={cert.margin_energy:.3g}, "
+          f"bandwidth={cert.margin_bandwidth:.3g}, "
+          f"adaptation={cert.margin_adaptation:.3g}")
     return EXIT_OK if cert.valid else EXIT_INFEASIBLE
 
 
@@ -286,9 +284,9 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
     for name, (kind, _) in loops.items():
         traj = trajs[name]
         _traj_csv(out / f"{name}.csv", traj, cert, delta_t)
-        rep = containment(traj, cert, kind=kind, safe_set=sysb.safe_set,
-                          radii=(delta_t, mu))
-        report[name] = rep.as_dict()
+        report[name] = containment(traj, cert, kind=kind,
+                                   safe_set=sysb.safe_set,
+                                   radii=(delta_t, mu))
         report[name]["sup_xtilde"] = _sup(traj.xtilde_norm)
         report[name]["sup_sigma_hat"] = _sup(
             np.linalg.norm(traj.sigma_hat, axis=1))
@@ -426,7 +424,7 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
                         float(np.max(traj.dist)),
                         float(np.max(traj.xtilde_norm)),
                         float(np.max(np.linalg.norm(traj.sigma_hat, axis=1))),
-                        rep.contained, "ok"]
+                        rep["contained"], "ok"]
 
     _write_csv(out / "sweep.csv", header, rows)
     n_ok = sum(1 for r in rows if r[-1] == "ok")

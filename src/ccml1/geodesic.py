@@ -36,7 +36,6 @@ from .metric import MetricField
 from .models import matvec, row_dot
 
 _DEGENERATE = 1e-12
-_END_ROW = {"start": 0, "end": -1}
 
 
 def gll_grid(n_intervals: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +76,6 @@ class GeodesicCurve:
     newton_iters: np.ndarray     # (K,) Newton iterations of each row
     grad_norm: np.ndarray        # (K,)
     converged_rows: np.ndarray   # (K,) bool
-    exceeds_upper_bound: np.ndarray  # (K,) bool
 
     @property
     def iterations(self) -> int:
@@ -88,24 +86,6 @@ class GeodesicCurve:
     def converged(self) -> bool:
         """True when every row converged."""
         return bool(self.converged_rows.all())
-
-    def endpoint_velocity(self, end: str) -> np.ndarray:
-        """(K, n) velocities at 'start' (s=0) or 'end' (s=1) from the nodal
-        polynomial derivative (a one-sided full-order stencil over the nodal
-        grid)."""
-        return self.velocities[:, _end_row(end)]
-
-    def endpoint_metric(self, end: str) -> np.ndarray:
-        """(K, n, n) metrics at 'start' (s=0) or 'end' (s=1), as the solver
-        evaluated them."""
-        return self.metrics[:, _end_row(end)]
-
-
-def _end_row(end: str) -> int:
-    try:
-        return _END_ROW[end]
-    except KeyError:
-        raise ValueError("end must be 'start' or 'end'") from None
 
 
 class GeodesicSolver:
@@ -148,7 +128,7 @@ class GeodesicSolver:
         the metric depends on.
         """
         r, n_nodes, dim = states.shape
-        m, dm = self.field.metric_and_active_partials(
+        m, dm = self.field.metric_and_partials_batch(
             states.reshape(-1, dim), check_pd=check_pd)
         m = m.reshape(r, n_nodes, dim, dim)
         v = self.diff @ states
@@ -276,18 +256,16 @@ class GeodesicSolver:
                 states, e, m, v, gnorm = self._iterate(states, e, grad, m, v,
                                                        gnorm, iters, todo)
         converged = gnorm <= self.tol * (1.0 + e)
-        exceeds = e > self.field.eig_ceil * gap * gap * 1.01
         if some_degenerate:
             v = np.where(degenerate[:, None, None], 0.0, v)
             e = np.where(degenerate, 0.0, e)
             gnorm = np.where(degenerate, 0.0, gnorm)
             converged |= degenerate
-            exceeds &= ~degenerate
             if self.field.is_constant and self.allow_shortcuts:
                 states[degenerate] = p[degenerate, None]
                 states[degenerate, -1] = q[degenerate]
         return GeodesicCurve(self.s_nodes, states, v, m, e, iters, gnorm,
-                             converged, exceeds)
+                             converged)
 
     def _iterate(self, states, e, grad, m, v, gnorm, iters, todo):
         """Damped Newton iterations on the rows in ``todo``; returns the

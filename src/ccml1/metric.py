@@ -118,24 +118,10 @@ class PolyMatrix:
             terms.append((tuple(new_p), p * coeff))
         return PolyMatrix(self.dim_in, self.shape, terms)
 
-    def to_entry_table(self) -> list[list[list[dict]]]:
-        """Serialize as per-entry monomial lists (scenario-file form)."""
-        rows = []
-        for i in range(self.shape[0]):
-            row = []
-            for j in range(self.shape[1]):
-                entry = []
-                for powers, coeff in self.terms:
-                    if coeff[i, j] != 0.0:
-                        entry.append({"coeff": float(coeff[i, j]),
-                                      "powers": list(powers)})
-                row.append(entry)
-            rows.append(row)
-        return rows
-
     @classmethod
     def from_entry_table(cls, dim_in: int, table) -> "PolyMatrix":
-        """Inverse of :meth:`to_entry_table`."""
+        """Build from per-entry monomial lists (the scenario-file form):
+        ``table[i][j]`` lists ``{"coeff": c, "powers": [...]}`` terms."""
         rows = len(table)
         cols = len(table[0]) if rows else 0
         acc: dict[tuple[int, ...], np.ndarray] = {}
@@ -223,9 +209,6 @@ class MetricField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def metric(self, x) -> np.ndarray:
-        return self.metric_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def metric_batch(self, xs: np.ndarray) -> np.ndarray:
         """(k, n, n) metric at a batch of states; the dual must be positive
         definite at each of them."""
@@ -237,21 +220,15 @@ class MetricField:
         return _inv_batch(duals)
 
     def metric_and_partials_batch(self, xs: np.ndarray, check_pd=True):
-        """(k, n, n) metric and (k, dim, n, n) metric partials; ``check_pd``
-        as in :meth:`evaluate_batch`."""
+        """The metric and its partials along ``active_coords``: the last
+        two arrays of :meth:`evaluate_batch`."""
         return self.evaluate_batch(xs, check_pd=check_pd)[2:]
-
-    def metric_and_active_partials(self, xs: np.ndarray, check_pd=True):
-        """(k, n, n) metric and its (k, len(active_coords), n, n) partials
-        along ``active_coords`` (the others are zero); ``check_pd`` as in
-        :meth:`evaluate_batch`."""
-        return self._terms(xs, check_pd)[2:]
 
     def evaluate_batch(self, xs: np.ndarray, check_pd=True):
         """Dual, dual partials, metric and metric partials at a batch of states.
 
         Returns arrays of shape (k, n, n), (k, len(active_coords), n, n),
-        (k, n, n) and (k, dim, n, n); the dual partials cover only
+        (k, n, n) and (k, len(active_coords), n, n): both partials cover only
         ``active_coords`` (the others are zero).  ``check_pd`` is True to
         require a positive-definite dual at every state, False for none, or a
         sequence of row indices to check only those states; the first failing
@@ -259,14 +236,6 @@ class MetricField:
         ``row`` is its index in ``xs``.  A constant metric is never
         re-checked.
         """
-        duals, dual_partials, m, dm_active = self._terms(xs, check_pd)
-        dm = np.zeros((xs.shape[0],) + (self.dim,) * 3)
-        dm[:, self.active_index] = dm_active
-        return duals, dual_partials, m, dm
-
-    def _terms(self, xs: np.ndarray, check_pd):
-        """:meth:`evaluate_batch` with the metric partials along
-        ``active_coords`` only."""
         k, n = xs.shape[0], self.dim
         if self.constant_metric is not None:
             return (self.dual_poly.eval_batch(xs), np.zeros((k, 0, n, n)),
@@ -399,12 +368,12 @@ class CcmCheckReport:
         space to check."""
         out = {
             "passed": bool(self.passed),
-            "eig_margin": _finite_or_none(self.eig_margin),
-            "contraction_margin": _finite_or_none(self.contraction_margin),
-            "killing_margin": _finite_or_none(self.killing_margin),
+            "eig_margin": finite_or_none(self.eig_margin),
+            "contraction_margin": finite_or_none(self.contraction_margin),
+            "killing_margin": finite_or_none(self.killing_margin),
             "n_samples": int(self.n_samples),
             "n_violations": len(self.violations),
-            "violations": [[_finite_or_none(c) for c in v]
+            "violations": [[finite_or_none(c) for c in v]
                            for v in self.violations[:20]],
         }
         if self.contraction_margin == math.inf:
@@ -412,7 +381,9 @@ class CcmCheckReport:
         return out
 
 
-def _finite_or_none(v):
+def finite_or_none(v):
+    """``v`` as a float, or None when it is not finite (JSON has no
+    infinities)."""
     v = float(v)
     return v if math.isfinite(v) else None
 
@@ -472,10 +443,9 @@ def _chunk_margins(model, field: MetricField, xs: np.ndarray,
     eig = np.minimum(ev[:, 0] - field.eig_floor, field.eig_ceil - ev[:, -1])
 
     fx, jac, b, db = model.eval_batch(xs)
-    act = field.active_coords
-    dm_act = dms[:, act]            # the other metric partials are zero
+    act = field.active_coords       # the other metric partials are zero
     # directional derivative of the metric along the drift
-    d_along_f = np.einsum("ka,kaij->kij", fx[:, act], dm_act)
+    d_along_f = np.einsum("ka,kaij->kij", fx[:, act], dms)
     cmat = d_along_f + sym(ms @ jac) + 2.0 * field.contraction_rate * ms
 
     bm = b.swapaxes(1, 2) @ ms
@@ -491,7 +461,7 @@ def _chunk_margins(model, field: MetricField, xs: np.ndarray,
 
     killing = np.full(k, np.inf)
     for j in range(model.input_dim):
-        d_along_b = np.einsum("ka,kaij->kij", b[:, act, j], dm_act)
+        d_along_b = np.einsum("ka,kaij->kij", b[:, act, j], dms)
         resid = d_along_b + sym(ms @ db[..., j].swapaxes(1, 2))
         killing = np.minimum(killing, -_singular_values(resid).max(axis=1))
     return np.stack([eig, contraction, killing])

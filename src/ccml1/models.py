@@ -16,7 +16,7 @@ model may back with a vectorized implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -301,23 +301,17 @@ class SafeSet:
             pts = np.vstack([np.array(extremes), pts])
         return pts
 
-    def as_dict(self) -> dict:
-        d = {"kind": self.kind, "center": [float(c) for c in self.center]}
-        if self.kind == "box":
-            d["half_widths"] = [float(h) for h in self.half_widths]
-        else:
-            d["radius"] = float(self.radius)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "SafeSet":
+        """Read the scenario form: ``kind``, ``center`` and ``half_widths``
+        (box) or ``radius`` (ball)."""
         if d["kind"] == "box":
             return cls.box(d["center"], d["half_widths"])
         return cls.ball(d["center"], d["radius"])
 
 
 class DesiredTrajectory:
-    """Uniformly sampled desired state/input pair with piecewise-linear reads."""
+    """Uniformly sampled desired state/input pair, read by :meth:`sample`."""
 
     def __init__(self, t0: float, dt: float, states: np.ndarray, inputs: np.ndarray):
         self.t0 = float(t0)
@@ -338,32 +332,11 @@ class DesiredTrajectory:
         us = np.tile(np.asarray(u_eq, dtype=float), (steps + 1, 1))
         return cls(t0, dt, xs, us)
 
-    @property
-    def t_final(self) -> float:
-        return self.t0 + self.dt * (self.states.shape[0] - 1)
-
-    def _locate(self, t: float) -> tuple[int, float]:
-        tau = (t - self.t0) / self.dt
-        tau = min(max(tau, 0.0), self.states.shape[0] - 1.0)
-        k = min(int(tau), self.states.shape[0] - 2)
-        return k, tau - k
-
-    def state(self, t: float) -> np.ndarray:
-        if self.states.shape[0] == 1:
-            return self.states[0]
-        k, frac = self._locate(t)
-        return (1.0 - frac) * self.states[k] + frac * self.states[k + 1]
-
-    def input(self, t: float) -> np.ndarray:
-        """Desired input at time t (zero-order hold: planner semantics)."""
-        if self.inputs.shape[0] == 1:
-            return self.inputs[0]
-        k, _ = self._locate(t)
-        return self.inputs[k]
-
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`state` and :meth:`input` at each of an array of times, as
-        (len(times), n) and (len(times), m) arrays."""
+        """The desired state and input at each of an array of times, as
+        (len(times), n) and (len(times), m) arrays.  The state is linear
+        between samples and the input held over each step (the planner's
+        zero-order hold); times outside the horizon read its ends."""
         count = self.states.shape[0]
         if count == 1:
             return (np.repeat(self.states, len(times), axis=0),

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import MetricDomainError, MetricValidationError, ScenarioError
 from .l1_control import L1Config
 from .metric import MetricField, PolyMatrix
-from .models import (AssumptionBounds, BuiltinSystem, DesiredTrajectory,
-                     DynamicsModel, ModelBatch, SafeSet, builtin_example,
-                     row_dot)
+from .models import (AssumptionBounds, BuiltinSystem, DynamicsModel,
+                     ModelBatch, SafeSet, builtin_example, row_dot)
 from .sim import SimConfig
 
 SCHEMA_VERSION = 1
@@ -36,6 +35,9 @@ _DESIRED_KEYS = {"constant": {"kind", "state", "input"},
 _DESIRED_VECTORS = {"state": "state_dim", "input": "input_dim",
                     "start": "state_dim", "target": "state_dim"}
 _OBSTACLE_KEYS = {"polygon"}
+# optional sim keys -> how each is read
+_SIM_OPTIONAL = {"seed": int, "geodesic_intervals": int, "geodesic_tol": float,
+                 "enforce_domain": bool, "divergence_limit": float}
 
 
 def canonical_json(doc: dict) -> str:
@@ -247,15 +249,14 @@ class Scenario:
     # -- sections ----------------------------------------------------------------
 
     def sim_config(self) -> SimConfig:
+        """The ``sim`` section; a key it leaves out takes
+        :class:`~ccml1.sim.SimConfig`'s default."""
         sdoc = self.doc["sim"]
-        return SimConfig(
-            dt=_num(sdoc, "dt", positive=True),
-            t_final=_num(sdoc, "t_final", positive=True),
-            seed=int(sdoc.get("seed", 0)),
-            geodesic_intervals=int(sdoc.get("geodesic_intervals", 8)),
-            geodesic_tol=float(sdoc.get("geodesic_tol", 1e-8)),
-            enforce_domain=bool(sdoc.get("enforce_domain", True)),
-            divergence_limit=float(sdoc.get("divergence_limit", 1e6)))
+        dt = _num(sdoc, "dt", positive=True)
+        t_final = _num(sdoc, "t_final", positive=True)
+        return SimConfig(dt=dt, t_final=t_final, **{
+            key: read(sdoc[key]) for key, read in _SIM_OPTIONAL.items()
+            if key in sdoc})
 
     def tube_params(self) -> tuple[float, float]:
         tdoc = self.doc.get("tube", {})
@@ -389,12 +390,6 @@ def _signed_distances(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
                 / (b[1] - a[1])
             inside ^= straddle & (points[:, 0] < x_cross)
     return np.where(inside, -dmin, dmin)
-
-
-def point_polygon_distance(point: np.ndarray, polygon: np.ndarray) -> float:
-    """Signed distance from a 2-D point to a polygon (negative inside)."""
-    p = np.asarray(point, dtype=float)[None, :2]
-    return float(_signed_distances(p, polygon)[0])
 
 
 def tube_obstacle_clearance(states_star: np.ndarray, rho: float,

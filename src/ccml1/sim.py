@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +101,6 @@ class Trajectory:
     u_feedback: np.ndarray       # desired input plus contraction correction
     u_adaptive: np.ndarray       # adaptive channel actually applied
     sigma_hat: np.ndarray
-    x_hat: np.ndarray
     xtilde_norm: np.ndarray
     energy: np.ndarray
     warnings: list = dc_field(default_factory=list)
@@ -109,13 +109,14 @@ class Trajectory:
     def __post_init__(self):
         k = len(self.times)
         for arr in (self.states, self.states_star, self.u_feedback,
-                    self.u_adaptive, self.sigma_hat, self.x_hat,
-                    self.xtilde_norm, self.energy):
+                    self.u_adaptive, self.sigma_hat, self.xtilde_norm,
+                    self.energy):
             if len(arr) != k:
                 raise ValueError("trajectory arrays must share one grid")
 
-    @property
+    @cached_property
     def dist(self) -> np.ndarray:
+        """Tracking distance at each step (computed on first read)."""
         return np.linalg.norm(self.states - self.states_star, axis=1)
 
 
@@ -259,8 +260,7 @@ def lockstep(model: DynamicsModel, field: MetricField,
     All rows share the model, metric, desired trajectory and time grid, and
     start from ``x0`` ((n,) or one row each).  A row that diverges or leaves
     the metric's domain stops with a partial trajectory whose ``stopped``
-    says why; the others run on.  Without an L1 augmentation a row's
-    ``x_hat`` records its state.
+    says why; the others run on.
     """
     k, n, m = len(loops), model.state_dim, model.input_dim
     steps, dt = cfg.n_steps, cfg.dt
@@ -277,20 +277,20 @@ def lockstep(model: DynamicsModel, field: MetricField,
     rates_star = model.rate_batch(states_star).rate(inputs_star)
     # the records of the running rows, in stack order: row r of the stack
     # records into row r of each array
-    rec_x, rec_xh, rec_uc, rec_ua, rec_sigma, rec_xt, rec_energy = records = [
+    rec_x, rec_uc, rec_ua, rec_sigma, rec_xt, rec_energy = records = [
         np.zeros((k, steps + 1) + shape)
-        for shape in ((n,), (n,), (m,), (m,), (m,), (), ())]
+        for shape in ((n,), (m,), (m,), (m,), (), ())]
     warnings: list[list[str]] = [[] for _ in range(k)]
     runs: list = [None] * k
 
     def finish(r: int, size: int, reason=None, copy=False):
         """The trajectory of stack row ``r`` over its first ``size`` steps."""
-        x, x_hat, u_c, u_a, sigma, x_tilde, energy = (
+        x, u_c, u_a, sigma, x_tilde, energy = (
             a[r, :size].copy() if copy else a[r, :size] for a in records)
         i = rows.ids[r]
         runs[i] = Trajectory(
             times=times[:size], states=x, states_star=states_star[:size],
-            u_feedback=u_c, u_adaptive=u_a, sigma_hat=sigma, x_hat=x_hat,
+            u_feedback=u_c, u_adaptive=u_a, sigma_hat=sigma,
             xtilde_norm=x_tilde, energy=energy, warnings=warnings[i],
             stopped=reason)
 
@@ -353,7 +353,6 @@ def lockstep(model: DynamicsModel, field: MetricField,
 
         x, est, run = rows.x, rows.est, len(ids)
         rec_x[:run, step] = x
-        rec_xh[:run, step] = rows.z[:, n:]
         rec_uc[:run, step] = u_c
         rec_ua[:g, step] = rows.u_a[:g]
         rec_energy[:run, step] = curve.energy
@@ -580,41 +579,6 @@ def ilqr_plan(model: DynamicsModel, x0_star, target, t_final: float,
 # --- containment -------------------------------------------------------------
 
 
-@dataclass
-class ContainmentReport:
-    """Distances against the certified radii, plus safe-set membership."""
-
-    times: np.ndarray
-    dist: np.ndarray
-    radius: float                # fixed tube radius the run is checked against
-    shrinking: np.ndarray        # time-varying certified radius at each step
-    kind: str                    # "actual" or "reference"
-    n_radius_violations: int
-    n_shrinking_violations: int
-    first_violation_time: float | None
-    max_dist: float | None
-    in_safe_set: np.ndarray | None = None
-    tube_inside_safe_set: bool | None = None
-
-    @property
-    def contained(self) -> bool:
-        return self.n_radius_violations == 0
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "radius": self.radius,
-            "max_dist": self.max_dist,
-            "n_radius_violations": int(self.n_radius_violations),
-            "n_shrinking_violations": int(self.n_shrinking_violations),
-            "first_violation_time": self.first_violation_time,
-            "contained": self.contained,
-            "tube_inside_safe_set": self.tube_inside_safe_set,
-            "safe_set_ok": (bool(np.all(self.in_safe_set))
-                            if self.in_safe_set is not None else None),
-        }
-
-
 def time_radii(cert: TubeCertificate, times: np.ndarray):
     """The certificate's total radius ``delta_t`` and transient radius
     ``mu`` at each time of a grid."""
@@ -624,16 +588,18 @@ def time_radii(cert: TubeCertificate, times: np.ndarray):
 
 def containment(traj: Trajectory, cert: TubeCertificate,
                 kind: str = "actual", safe_set: SafeSet | None = None,
-                radii=None) -> ContainmentReport:
-    """Check a run against its certificate.
+                radii=None) -> dict:
+    """Check a run against its certificate; returns the JSON report.
 
     ``kind="actual"`` compares against the full radius and the shrinking
     total bound; ``kind="reference"`` against the reference radius and the
     transient bound.  ``radii`` is :func:`time_radii` of the certificate on
     a grid at least as long as the run, when the caller has it already.
     Safe-set checks use the tube logic: the desired path eroded by the
-    radius must stay inside, and each visited state is also checked
-    directly.  A run that recorded no step has no ``max_dist``.
+    radius must stay inside (``tube_inside_safe_set``, false when the
+    radius empties the safe set), and each visited state is also checked
+    directly (``safe_set_ok``).  A run that recorded no step has no
+    ``max_dist``.  ``contained`` means no fixed-radius violation.
     """
     dist = traj.dist
     times = traj.times
@@ -655,14 +621,23 @@ def containment(traj: Trajectory, cert: TubeCertificate,
     in_safe = None
     tube_ok = None
     if safe_set is not None:
-        in_safe = safe_set.contains(traj.states)
-        eroded = safe_set.erode(radius)
-        tube_ok = bool(np.all(eroded.contains(traj.states_star)))
+        in_safe = bool(np.all(safe_set.contains(traj.states)))
+        try:
+            eroded = safe_set.erode(radius)
+        except ValueError:          # the tube is wider than the safe set
+            tube_ok = False
+        else:
+            tube_ok = bool(np.all(eroded.contains(traj.states_star)))
 
-    return ContainmentReport(
-        times=times, dist=dist, radius=radius, shrinking=shrink, kind=kind,
-        n_radius_violations=int(over_r.sum()),
-        n_shrinking_violations=int(over_s.sum()),
-        first_violation_time=first,
-        max_dist=float(dist.max()) if len(dist) else None,
-        in_safe_set=in_safe, tube_inside_safe_set=tube_ok)
+    n_over = int(over_r.sum())
+    return {
+        "kind": kind,
+        "radius": radius,
+        "max_dist": float(dist.max()) if len(dist) else None,
+        "n_radius_violations": n_over,
+        "n_shrinking_violations": int(over_s.sum()),
+        "first_violation_time": first,
+        "contained": n_over == 0,
+        "tube_inside_safe_set": tube_ok,
+        "safe_set_ok": in_safe,
+    }

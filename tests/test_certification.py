@@ -14,6 +14,7 @@ from ccml1.errors import InfeasibleCertificate
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import (AssumptionBounds, DesiredTrajectory, DynamicsModel,
                           SafeSet)
+from ccml1.sim import time_radii
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +159,17 @@ class TestCheckConditions:
         assert cert.margin_bandwidth < 0.0
         assert cert.margin_adaptation == -math.inf
         assert not cert.valid
+        # JSON has no infinities: the margin is written as null
+        margins = cert.as_dict()["margins"]
+        assert margins["adaptation"] is None
+        assert margins["bandwidth"] == cert.margin_bandwidth
 
     def test_filter_norms(self, ex2, ex2_deltas):
         cert = check_conditions(ex2.metric, ex2_deltas, 90.0, 4e7,
                                 eps=0.4, rho_a=0.1,
                                 x0=np.zeros(2), x0_star=np.zeros(2))
-        assert cert.filter_gain_norm == 1.0
-        assert cert.filter_complement_norm == 2.0
-        assert cert.filter_derivative_norm == pytest.approx(2.0 * 90.0)
+        assert cert.as_dict()["filter_norms"] == {
+            "gain": 1.0, "complement": 2.0, "derivative": 2.0 * 90.0}
 
     def test_transient_radius_evaluators(self, ex2, ex2_deltas):
         x0_star = np.zeros(2)
@@ -176,8 +180,10 @@ class TestCheckConditions:
             cert.energy0 / cert.alpha_lo + cert.zeta1)
         assert cert.mu(50.0) == pytest.approx(math.sqrt(cert.zeta1),
                                               rel=1e-6)
-        assert cert.delta_t(1.0) == cert.mu(1.0) + cert.rho_a
-        assert cert.delta_t(5.0) == pytest.approx(cert.mu(5.0) + 0.1)
+        delta, mu = time_radii(cert, np.array([1.0, 5.0]))
+        assert mu.tolist() == [cert.mu(1.0), cert.mu(5.0)]
+        assert delta.tolist() == [cert.mu(1.0) + cert.rho_a,
+                                  cert.mu(5.0) + 0.1]
         # radii only shrink with time
         ts = np.linspace(0.0, 5.0, 30)
         mus = [cert.mu(t) for t in ts]

@@ -259,6 +259,54 @@ class TestSimulate:
         assert 1 <= len(rows) < 3001
 
 
+class TestNonFiniteMargin:
+    """A bandwidth that fails the interference condition leaves the
+    adaptation margin at -inf, which JSON cannot hold: the certificate
+    writes it as null, and both verbs report instead of crashing."""
+
+    @staticmethod
+    def _doc(name):
+        doc = dict(builtin_scenario(name.split("-")[0]).doc)
+        doc["sim"] = dict(doc["sim"], t_final=0.05)
+        if name == "ex2-slow-filter":
+            doc["l1"] = dict(doc["l1"], omega=1.0)
+        else:                                   # "ex1-far-start"
+            doc["init"] = {"x0": [2.0, 0.0, 0.0]}
+        return doc
+
+    @pytest.mark.parametrize("name", ["ex2-slow-filter", "ex1-far-start"])
+    def test_certify_exits_2_with_a_null_margin(self, name, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        rc = main(["certify", "--scenario",
+                   str(_write(tmp_path, self._doc(name))), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "adaptation=-inf" in captured.out
+        assert "Traceback" not in captured.err
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["certificate"]["margins"]["adaptation"] is None
+        assert cert["certificate"]["valid"] is False
+
+    @pytest.mark.parametrize("name", ["ex2-slow-filter", "ex1-far-start"])
+    def test_simulate_writes_the_certificate_and_runs(self, name, tmp_path,
+                                                       capsys):
+        doc = self._doc(name)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["certificate"]["margins"]["adaptation"] is None
+        steps = round(doc["sim"]["t_final"] / doc["sim"]["dt"])
+        for loop in ("closed_loop", "reference", "nominal"):
+            _, rows = _read_csv(out / f"{loop}.csv")
+            assert len(rows) == steps + 1
+        report = json.loads((out / "containment.json").read_text())
+        assert report["certificate_valid"] is False
+
+
 class TestSweep:
     def test_two_tube_radii_and_a_failing_row_match_golden_bytes(
             self, tmp_path):

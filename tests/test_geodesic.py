@@ -9,6 +9,7 @@ from ccml1.errors import GeodesicDomainError, MetricDomainError
 from ccml1.geodesic import GeodesicSolver
 from ccml1.metric import MetricField, PolyMatrix
 from ccml1.models import SafeSet
+from reference import metric_at
 
 coord = st.floats(min_value=-2.0, max_value=2.0,
                   allow_nan=False, allow_infinity=False)
@@ -51,7 +52,7 @@ class TestConstantMetricExactness:
     W = np.array([[4.26, -0.93], [-0.93, 3.77]])
 
     def _closed_form(self, field, p, q):
-        m = field.metric(p)  # constant, any evaluation point works
+        m = metric_at(field, p)  # constant, any evaluation point works
         d = q - p
         return float(d @ m @ d)
 
@@ -163,13 +164,14 @@ class TestDomainHandling:
             _solve(GeodesicSolver(ex1.metric), np.zeros(3),
                    np.array([np.nan, 0.0, 0.0]))
 
-    def test_upper_bound_flag(self, ex2):
-        # clean solves always sit inside the declared eigenvalue envelope
-        clean = _solve(GeodesicSolver(ex2.metric), np.array([4.5, 4.5]),
-                       np.array([-4.5, -4.5]))
-        assert not clean.exceeds_upper_bound
-        # ... and the flag fires when the declared ceiling understates the
-        # metric (a mis-specified certificate input)
+    def test_energy_within_the_eigenvalue_ceiling(self, ex2):
+        # clean solves sit inside the declared eigenvalue envelope ...
+        p, q = np.array([4.5, 4.5]), np.array([-4.5, -4.5])
+        clean = _solve(GeodesicSolver(ex2.metric), p, q)
+        gap_sq = float((q - p) @ (q - p))
+        assert clean.energy[0] <= ex2.metric.eig_ceil * gap_sq
+        # ... and leave it when the declared ceiling understates the metric
+        # (a mis-specified certificate input)
         lying = MetricField.from_dual_polynomial(
             ex2.metric.dual_poly,
             contraction_rate=ex2.metric.contraction_rate,
@@ -177,8 +179,8 @@ class TestDomainHandling:
             eig_ceil=0.5 * ex2.metric.eig_floor,
             domain=ex2.metric.domain, validate=False)
         curve = _solve(GeodesicSolver(lying), np.array([1.0, 0.0]),
-                       np.zeros(2))
-        assert curve.exceeds_upper_bound
+                       np.zeros(2))        # a unit gap
+        assert curve.energy[0] > 1.01 * lying.eig_ceil
 
 
 def test_endpoint_velocities_match_difference_for_flat_metric():
@@ -187,10 +189,8 @@ def test_endpoint_velocities_match_difference_for_flat_metric():
     p = np.array([1.0, -1.0])
     q = np.array([-0.5, 0.5])
     curve = _solve(solver, p, q)
-    np.testing.assert_allclose(curve.endpoint_velocity("start")[0], q - p,
-                               atol=1e-10)
-    np.testing.assert_allclose(curve.endpoint_velocity("end")[0], q - p,
-                               atol=1e-10)
+    np.testing.assert_allclose(curve.velocities[0, 0], q - p, atol=1e-10)
+    np.testing.assert_allclose(curve.velocities[0, -1], q - p, atol=1e-10)
 
 
 class TestEndpointDefiniteness:
@@ -225,16 +225,14 @@ class TestEndpointDefiniteness:
                             (self._field(), np.array([0.4]),
                              np.array([-0.3]))):
             curve = _solve(GeodesicSolver(field), p, q)
-            np.testing.assert_allclose(curve.endpoint_metric("start")[0],
-                                       field.metric(p), rtol=1e-14)
-            np.testing.assert_allclose(curve.endpoint_metric("end")[0],
-                                       field.metric(q), rtol=1e-14)
-        with pytest.raises(ValueError):
-            curve.endpoint_metric("middle")
+            np.testing.assert_allclose(curve.metrics[0, 0],
+                                       metric_at(field, p), rtol=1e-14)
+            np.testing.assert_allclose(curve.metrics[0, -1],
+                                       metric_at(field, q), rtol=1e-14)
 
 
 _CURVE_ARRAYS = ("states", "velocities", "metrics", "energy", "newton_iters",
-                 "grad_norm", "converged_rows", "exceeds_upper_bound")
+                 "grad_norm", "converged_rows")
 
 
 class TestBatch:

@@ -11,6 +11,7 @@ from ccml1.metric import (_CHUNK, CcmCheckReport, MetricField, PolyMatrix,
                           _inv_batch, ccm_check, sym)
 from ccml1.models import DynamicsModel, SafeSet, builtin_example
 from ccml1.scenario import SCHEMA_VERSION, Scenario, canonical_json
+from reference import full_partials, metric_at, to_entry_table
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)
@@ -63,7 +64,7 @@ class TestPolyMatrix:
             ((0, 0), np.array([[4.26, -0.93], [-0.93, 3.77]])),
             ((1, 0), np.array([[0.1, 0.0], [0.0, 0.0]])),
         ])
-        table = pm.to_entry_table()
+        table = to_entry_table(pm)
         back = PolyMatrix.from_entry_table(2, table)
         x = np.array([0.3, -1.2])
         np.testing.assert_allclose(back(x), pm(x), atol=1e-14)
@@ -93,18 +94,19 @@ class TestMetricField:
         for _ in range(20):
             x = rng.uniform(-0.05, 0.05, size=3)
             w = ex1.metric.dual_poly(x)
-            m = ex1.metric.metric(x)
+            m = metric_at(ex1.metric, x)
             np.testing.assert_allclose(m @ w, np.eye(3), atol=1e-11)
 
     def test_partials_match_finite_differences(self, ex1):
         x = np.array([0.02, -0.01, 0.04])
-        dm = ex1.metric.metric_and_partials_batch(x[None])[1][0]
+        dm = full_partials(ex1.metric,
+                           ex1.metric.metric_and_partials_batch(x[None])[1])[0]
         eps = 1e-6
         for i in range(3):
             dx = np.zeros(3)
             dx[i] = eps
-            fd = (ex1.metric.metric(x + dx) - ex1.metric.metric(x - dx)) \
-                / (2 * eps)
+            fd = (metric_at(ex1.metric, x + dx)
+                  - metric_at(ex1.metric, x - dx)) / (2 * eps)
             np.testing.assert_allclose(dm[i], fd, atol=1e-6)
 
     def test_batch_evaluation_agrees(self, ex1):
@@ -113,7 +115,7 @@ class TestMetricField:
         ms = ex1.metric.metric_batch(xs)
         ms2, dms = ex1.metric.metric_and_partials_batch(xs)
         for k in range(40):
-            np.testing.assert_allclose(ms[k], ex1.metric.metric(xs[k]),
+            np.testing.assert_allclose(ms[k], metric_at(ex1.metric, xs[k]),
                                        atol=1e-11)
             np.testing.assert_allclose(ms2[k], ms[k], atol=1e-12)
             one = ex1.metric.metric_and_partials_batch(xs[k:k + 1])[1][0]
@@ -197,6 +199,7 @@ class TestFusedKernel:
         rng = np.random.default_rng(21)
         xs = rng.uniform(-0.5, 0.5, size=(25, n))
         m, dm = field.metric_and_partials_batch(xs)
+        dm = full_partials(field, dm)
         partials = [field.dual_poly.partial(i) for i in range(n)]
         for x, m_k, dm_k in zip(xs, m, dm):
             m_ref = np.linalg.inv(_poly_at(field.dual_poly, x))
@@ -243,6 +246,7 @@ def _reference_ccm_check(model, field, region=None, n_samples=10_000, seed=0,
     violations = []
     lam = field.contraction_rate
     ms, dms = field.metric_and_partials_batch(pts)
+    dms = full_partials(field, dms)
     eigs = np.linalg.eigvalsh(ms)
     slack_eig = 1e-9 * field.eig_ceil
     for x, m, dm, ev in zip(pts, ms, dms, eigs):
@@ -333,7 +337,7 @@ def _mixed_rank_system():
                 [[], [term(1.0, 1, 0, 0)]],
                 [[term(1.0, 0, 1, 0)], []]]},
         },
-        "metric": {"dual": field.dual_poly.to_entry_table(), "rate": 1.0,
+        "metric": {"dual": to_entry_table(field.dual_poly), "rate": 1.0,
                    "eig_floor": 0.1, "eig_ceil": 10.0},
         "sim": {"dt": 0.01, "t_final": 1.0},
         "desired": {"kind": "constant", "state": [0.0, 0.0, 0.0],

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from ccml1.errors import ScenarioError
-from ccml1.scenario import (SCHEMA_VERSION, Scenario, builtin_scenario,
-                            canonical_json, point_polygon_distance,
+from ccml1.scenario import (SCHEMA_VERSION, Scenario, _signed_distances,
+                            builtin_scenario, canonical_json,
                             tube_obstacle_clearance)
+from ccml1.sim import SimConfig
+from reference import metric_at
+
+
+def point_polygon_distance(point, polygon) -> float:
+    """Signed distance from one 2-D point to a polygon (negative inside):
+    the one-point case of the clearance kernel."""
+    p = np.asarray(point, dtype=float)[None, :2]
+    return float(_signed_distances(p, polygon)[0])
 
 
 def _linear_doc(**extra):
@@ -140,7 +149,7 @@ class TestInlineSystem:
     def test_metric_and_safe_set(self):
         sysb = Scenario.from_dict(_linear_doc()).system()
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(sysb.metric.metric(x), np.eye(2),
+        np.testing.assert_allclose(metric_at(sysb.metric, x), np.eye(2),
                                    atol=1e-12)
         assert sysb.metric.contraction_rate == pytest.approx(0.1)
         assert sysb.safe_set.contains([9.0, -9.0])
@@ -220,12 +229,22 @@ class TestSections:
         assert cfg.geodesic_intervals == 8
         assert cfg.enforce_domain is True
         assert cfg.divergence_limit == 1e6
+        assert cfg == SimConfig(dt=0.01, t_final=1.0)   # its defaults
         doc = _linear_doc(sim={"dt": 0.5, "t_final": 2.0, "seed": 11,
                                "enforce_domain": False,
                                "divergence_limit": 4.0})
         cfg = Scenario.from_dict(doc).sim_config()
         assert (cfg.seed, cfg.enforce_domain, cfg.divergence_limit) == \
             (11, False, 4.0)
+        # given keys are converted to the field's type
+        doc = _linear_doc(sim={"dt": 0.5, "t_final": 2, "seed": 3.0,
+                               "geodesic_intervals": 6.0, "geodesic_tol": 1,
+                               "enforce_domain": 0, "divergence_limit": 5})
+        cfg = Scenario.from_dict(doc).sim_config()
+        assert [(getattr(cfg, key), type(getattr(cfg, key))) for key in (
+            "seed", "geodesic_intervals", "geodesic_tol", "enforce_domain",
+            "divergence_limit")] == [(3, int), (6, int), (1.0, float),
+                                     (False, bool), (5.0, float)]
 
     def test_tube_defaults_and_validation(self):
         assert Scenario.from_dict(_linear_doc()).tube_params() == (0.1, 0.1)

@@ -20,6 +20,7 @@ from ccml1.sim import (Loop, SimConfig, Trajectory, _rk4_with_sensitivities,
                        containment, ilqr_plan, integrate_closed_loop,
                        integrate_nominal_ccm, integrate_reference, lockstep,
                        rk4_step)
+from reference import desired_input, desired_state
 
 
 def _run(model, field, loop, traj_star, x0, cfg):
@@ -173,8 +174,7 @@ class TestTrajectoryContainer:
         kw = dict(times=np.zeros(k), states=np.zeros((k, 2)),
                   states_star=np.zeros((k, 2)), u_feedback=np.zeros((k, 1)),
                   u_adaptive=np.zeros((k, 1)), sigma_hat=np.zeros((k, 1)),
-                  x_hat=np.zeros((k, 2)), xtilde_norm=np.zeros(k),
-                  energy=np.zeros(k))
+                  xtilde_norm=np.zeros(k), energy=np.zeros(k))
         Trajectory(**kw)  # fine
         kw["states"] = np.zeros((k + 1, 2))
         with pytest.raises(ValueError):
@@ -188,9 +188,9 @@ class TestTrajectoryContainer:
                           u_feedback=np.zeros((k, 1)),
                           u_adaptive=np.zeros((k, 1)),
                           sigma_hat=np.zeros((k, 1)),
-                          x_hat=np.zeros((k, 2)),
                           xtilde_norm=np.zeros(k), energy=np.zeros(k))
         np.testing.assert_array_equal(traj.dist, np.ones(k))
+        assert traj.dist is traj.dist       # computed once, on first read
 
 
 def _toy_cert(rho=0.5, rho_a=0.1, zeta1=0.01, e0=0.04):
@@ -198,8 +198,7 @@ def _toy_cert(rho=0.5, rho_a=0.1, zeta1=0.01, e0=0.04):
         eps=0.2, rho_a=rho_a, rho_r=rho - rho_a, rho=rho, omega=50.0,
         gamma=1e6, energy0=e0, zeta1=zeta1, zeta2=0.0, zeta3=0.0,
         drive_bound=1.0, margin_energy=0.1, margin_bandwidth=0.1,
-        margin_adaptation=0.1, alpha_lo=0.2, rate=1.0,
-        filter_derivative_norm=100.0)
+        margin_adaptation=0.1, alpha_lo=0.2, rate=1.0)
 
 
 def _toy_traj(dists, star=(0.0, 0.0)):
@@ -211,7 +210,7 @@ def _toy_traj(dists, star=(0.0, 0.0)):
                       states_star=stars,
                       u_feedback=np.zeros((k, 1)),
                       u_adaptive=np.zeros((k, 1)),
-                      sigma_hat=np.zeros((k, 1)), x_hat=np.zeros((k, 2)),
+                      sigma_hat=np.zeros((k, 1)),
                       xtilde_norm=np.zeros(k), energy=np.zeros(k))
 
 
@@ -219,17 +218,17 @@ class TestContainment:
     def test_clean_run_is_contained(self):
         rep = containment(_toy_traj([0.3, 0.2, 0.1]), _toy_cert(),
                           kind="actual")
-        assert rep.contained
-        assert rep.n_radius_violations == 0
-        assert rep.first_violation_time is None
+        assert rep["contained"]
+        assert rep["n_radius_violations"] == 0
+        assert rep["first_violation_time"] is None
 
     def test_shrunken_radius_flags_violations(self):
         # same distances against a post-hoc tightened tube must fail
         rep = containment(_toy_traj([0.3, 0.2, 0.1]), _toy_cert(rho=0.25),
                           kind="actual")
-        assert not rep.contained
-        assert rep.n_radius_violations == 1
-        assert rep.first_violation_time == 0.0
+        assert not rep["contained"]
+        assert rep["n_radius_violations"] == 1
+        assert rep["first_violation_time"] == 0.0
 
     def test_shrinking_bound_checked_pointwise(self):
         # the time-varying bound decays toward rho_a + sqrt(zeta1); a flat
@@ -237,16 +236,16 @@ class TestContainment:
         cert = _toy_cert(rho=0.5, zeta1=0.0001, e0=0.002)
         dists = [0.15] * 11
         rep = containment(_toy_traj(dists), cert, kind="actual")
-        assert rep.n_radius_violations == 0
-        assert rep.contained  # only the fixed radius drives the verdict
-        assert rep.n_shrinking_violations > 0
-        assert rep.first_violation_time is not None
+        assert rep["n_radius_violations"] == 0
+        assert rep["contained"]  # only the fixed radius drives the verdict
+        assert rep["n_shrinking_violations"] > 0
+        assert rep["first_violation_time"] is not None
 
     def test_reference_kind_uses_reference_radii(self):
         cert = _toy_cert(rho=0.5, rho_a=0.1)
         rep = containment(_toy_traj([0.45, 0.41]), cert, kind="reference")
-        assert rep.radius == pytest.approx(cert.rho_r)
-        assert not rep.contained  # 0.45 > rho_r = 0.4
+        assert rep["radius"] == pytest.approx(cert.rho_r)
+        assert not rep["contained"]  # 0.45 > rho_r = 0.4
 
     def test_safe_set_erosion(self):
         # desired path sits off-center; eroding by the tube radius must
@@ -256,13 +255,13 @@ class TestContainment:
         wide = SafeSet.box(np.zeros(2), 2.0)
         snug = SafeSet.box(np.zeros(2), 0.55)   # eroded half-width 0.05 < 0.1
         assert containment(traj, cert, "actual",
-                           safe_set=wide).tube_inside_safe_set
+                           safe_set=wide)["tube_inside_safe_set"]
         assert not containment(traj, cert, "actual",
-                               safe_set=snug).tube_inside_safe_set
-        # a set narrower than the radius cannot be eroded at all
-        with pytest.raises(ValueError):
-            containment(traj, cert, "actual",
-                        safe_set=SafeSet.box(np.zeros(2), 0.3))
+                               safe_set=snug)["tube_inside_safe_set"]
+        # a set narrower than the radius cannot hold the tube at all
+        narrow = SafeSet.box(np.zeros(2), 0.3)
+        assert not containment(traj, cert, "actual",
+                               safe_set=narrow)["tube_inside_safe_set"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -466,8 +465,7 @@ def _alloc(n_steps, n, m):
     return dict(times=np.zeros(k), states=np.zeros((k, n)),
                 states_star=np.zeros((k, n)), u_feedback=np.zeros((k, m)),
                 u_adaptive=np.zeros((k, m)), sigma_hat=np.zeros((k, m)),
-                x_hat=np.zeros((k, n)), xtilde_norm=np.zeros(k),
-                energy=np.zeros(k))
+                xtilde_norm=np.zeros(k), energy=np.zeros(k))
 
 
 def _reference_feedback(model, field, curve, us):
@@ -492,8 +490,8 @@ def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
 
     for step in range(cfg.n_steps + 1):
         t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
+        xs = desired_state(traj_star, t)
+        us = desired_input(traj_star, t)
         curve = solver.solve(xs[None], x[None], warm=warm)
         warm = curve.states
         if not curve.converged:
@@ -511,7 +509,6 @@ def _reference_closed_loop(model, field, l1, traj_star, x0, cfg):
         rec["u_feedback"][step] = u_c
         rec["u_adaptive"][step] = u_a
         rec["sigma_hat"][step] = l1_state.sigma_hat[0]
-        rec["x_hat"][step] = l1_state.x_hat[0]
         rec["xtilde_norm"][step] = np.linalg.norm(
             l1_state.prediction_error(x[None])[0])
         rec["energy"][step] = curve.energy[0]
@@ -572,8 +569,8 @@ def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
 
     for step in range(cfg.n_steps + 1):
         t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
+        xs = desired_state(traj_star, t)
+        us = desired_input(traj_star, t)
         curve = solver.solve(xs[None], x[None], warm=warm)
         warm = curve.states
         if not curve.converged:
@@ -589,7 +586,6 @@ def _reference_reference_loop(model, field, bandwidth, traj_star, x0, cfg):
         rec["states_star"][step] = xs
         rec["u_feedback"][step] = u_c
         rec["u_adaptive"][step] = -eta
-        rec["x_hat"][step] = x
         rec["energy"][step] = curve.energy[0]
         if step == cfg.n_steps:
             break
@@ -622,8 +618,8 @@ def _reference_nominal(model, field, traj_star, x0, cfg):
 
     for step in range(cfg.n_steps + 1):
         t = step * cfg.dt
-        xs = traj_star.state(t)
-        us = traj_star.input(t)
+        xs = desired_state(traj_star, t)
+        us = desired_input(traj_star, t)
         curve = solver.solve(xs[None], x[None], warm=warm)
         warm = curve.states
         if not curve.converged:
@@ -638,7 +634,6 @@ def _reference_nominal(model, field, traj_star, x0, cfg):
         rec["states"][step] = x
         rec["states_star"][step] = xs
         rec["u_feedback"][step] = u_c
-        rec["x_hat"][step] = x
         rec["energy"][step] = curve.energy[0]
         if step == cfg.n_steps:
             break
@@ -655,8 +650,7 @@ def _reference_nominal(model, field, traj_star, x0, cfg):
 
 
 _TRAJECTORY_ARRAYS = ("times", "states", "states_star", "u_feedback",
-                      "u_adaptive", "sigma_hat", "x_hat", "xtilde_norm",
-                      "energy")
+                      "u_adaptive", "sigma_hat", "xtilde_norm", "energy")
 
 
 def _assert_same_run(got, want):
