@@ -10,7 +10,8 @@ sweep      grid of tunings; one CSV row per combination with certificate
            margins and measured errors
 check-ccm  sample the pointwise metric conditions over the operating region
 
-Exit codes: 0 success, 1 usage or scenario error, 2 certificate infeasible
+Exit codes: 0 success, 1 usage or scenario error (a metric, geodesic or
+shape error outside the loops among them), 2 certificate infeasible
 (or metric check failed, or the planner failed), 3 a simulated loop
 diverged or left the metric's domain (partial outputs are still written).
 """
@@ -487,6 +488,14 @@ def main(argv=None) -> int:
     except PlannerFailure as exc:
         print(f"planner failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except CcmL1Error as exc:
+        # a metric, geodesic or shape error outside the loops: what the
+        # scenario describes does not fit its metric or its model
+        at = "" if getattr(exc, "x", None) is None \
+            else f" at x = {exc.x.tolist()}"
+        msg = " ".join(f"{exc}{at}".split())
+        print(f"scenario error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

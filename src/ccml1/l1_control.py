@@ -28,9 +28,23 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .models import matvec, row_dot
+
+
+def lyapunov_solution(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The P with ``a.T @ P + P @ a = -q``, for a Hurwitz ``a``.
+
+    Row-major ``vec`` turns the equation into ``M vec(P) = -vec(q)`` with
+    ``M = kron(a.T, I) + kron(I, a.T)``: one (n², n²) solve, cheap for the
+    small predictors here.  Solving ``-M`` against ``vec(q)`` (rather than
+    ``M`` against ``-vec(q)``, which makes them -0.0) leaves the zero
+    entries of a diagonal ``P`` positive zeros.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    lhs = np.kron(a.T, eye) + np.kron(eye, a.T)
+    return np.linalg.solve(-lhs, q.reshape(-1)).reshape(n, n)
 
 
 @dataclass
@@ -74,8 +88,7 @@ class L1Config:
         if np.any(eigs.real >= 0.0):
             raise ValueError("predictor matrix must be Hurwitz")
         if self.lyap_p is None:
-            self.lyap_p = solve_continuous_lyapunov(self.pred_matrix.T,
-                                                    -self.lyap_q)
+            self.lyap_p = lyapunov_solution(self.pred_matrix, self.lyap_q)
         self.lyap_p = 0.5 * (self.lyap_p + self.lyap_p.T)
 
 

@@ -28,16 +28,22 @@ SCHEMA_VERSION = 1
 _TOP_KEYS = {"version", "name", "model", "metric", "bounds", "tube", "l1",
              "sim", "init", "desired", "obstacles", "outputs", "sweep",
              "sampling"}
-_SAMPLING_KEYS = {"ccm_samples"}
+# the keys each flat section takes
+_SECTION_KEYS = {
+    "sampling": {"ccm_samples"},
+    "tube": {"eps", "rho_a"},
+    "l1": {"omega", "gamma", "eps_proj", "pred_diag", "q_diag"},
+    "sim": {"dt", "t_final", "seed", "geodesic_intervals", "geodesic_tol",
+            "enforce_domain", "divergence_limit"},
+    "init": {"x0"},
+    "sweep": {"omega", "gamma", "eps", "rho_a"},
+}
 # desired kind -> its keys (all required) and which vectors have which length
 _DESIRED_KEYS = {"constant": {"kind", "state", "input"},
                  "plan": {"kind", "start", "target", "t_final", "dt"}}
 _DESIRED_VECTORS = {"state": "state_dim", "input": "input_dim",
                     "start": "state_dim", "target": "state_dim"}
 _OBSTACLE_KEYS = {"polygon"}
-# optional sim keys -> how each is read
-_SIM_OPTIONAL = {"seed": int, "geodesic_intervals": int, "geodesic_tol": float,
-                 "enforce_domain": bool, "divergence_limit": float}
 
 
 def canonical_json(doc: dict) -> str:
@@ -61,6 +67,40 @@ def _vector(val, length: int, name: str) -> np.ndarray:
              and all(_is_finite_number(v) for v in val),
              f"{name} must be a list of {length} finite numbers")
     return np.array(val, dtype=float)
+
+
+def _integer(val, name: str, least: int) -> int:
+    """An integral number of at least ``least`` (``6.0`` reads as 6)."""
+    _require(_is_finite_number(val) and val == int(val) and val >= least,
+             f"{name} must be an integer of at least {least}")
+    return int(val)
+
+
+def _positive(val, name: str) -> float:
+    _require(_is_finite_number(val) and val > 0,
+             f"{name} must be a positive finite number")
+    return float(val)
+
+
+def _negative(val, name: str) -> float:
+    _require(_is_finite_number(val) and val < 0,
+             f"{name} must be a negative finite number")
+    return float(val)
+
+
+def _flag(val, name: str) -> bool:
+    """true or false (``1`` and ``0`` read as them)."""
+    _require(isinstance(val, bool)
+             or (_is_finite_number(val) and val in (0, 1)),
+             f"{name} must be true or false")
+    return bool(val)
+
+
+# optional sim keys -> the reader of each, given its value and its name
+_SIM_OPTIONAL = {"seed": lambda v, k: _integer(v, k, 0),
+                 "geodesic_intervals": lambda v, k: _integer(v, k, 2),
+                 "geodesic_tol": _positive, "enforce_domain": _flag,
+                 "divergence_limit": _positive}
 
 
 def _num(doc: dict, key: str, default=None, positive=False):
@@ -105,6 +145,9 @@ class Scenario:
         sysb = scn.system()   # force validation of the heavy sections
         scn.sim_config()
         scn.l1_spec()
+        scn.tube_params()
+        scn._section("init")
+        scn.sweep_spec()
         scn.ccm_samples()
         if "desired" in doc:
             scn.desired_spec(sysb.model)
@@ -248,46 +291,51 @@ class Scenario:
 
     # -- sections ----------------------------------------------------------------
 
+    def _section(self, name: str) -> dict:
+        """The section ``name`` ({} when absent): an object whose keys are
+        all among the ones it takes."""
+        sdoc = self.doc.get(name, {})
+        _require(isinstance(sdoc, dict), f"'{name}' must be an object")
+        unknown = set(sdoc) - _SECTION_KEYS[name]
+        _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
+        return sdoc
+
     def sim_config(self) -> SimConfig:
         """The ``sim`` section; a key it leaves out takes
         :class:`~ccml1.sim.SimConfig`'s default."""
-        sdoc = self.doc["sim"]
+        sdoc = self._section("sim")
         dt = _num(sdoc, "dt", positive=True)
         t_final = _num(sdoc, "t_final", positive=True)
         return SimConfig(dt=dt, t_final=t_final, **{
-            key: read(sdoc[key]) for key, read in _SIM_OPTIONAL.items()
-            if key in sdoc})
+            key: read(sdoc[key], f"sim.{key}")
+            for key, read in _SIM_OPTIONAL.items() if key in sdoc})
 
     def tube_params(self) -> tuple[float, float]:
-        tdoc = self.doc.get("tube", {})
+        tdoc = self._section("tube")
         return (_num(tdoc, "eps", default=0.1, positive=True),
                 _num(tdoc, "rho_a", default=0.1, positive=True))
 
     def l1_spec(self) -> dict:
         """Raw tuning: omega/gamma may be the string 'auto'."""
-        ldoc = self.doc.get("l1", {})
+        ldoc = self._section("l1")
         out = {
             "omega": ldoc.get("omega", "auto"),
             "gamma": ldoc.get("gamma", "auto"),
-            "eps_proj": float(ldoc.get("eps_proj", 0.1)),
-            "pred_diag": float(ldoc.get("pred_diag", -10.0)),
-            "q_diag": float(ldoc.get("q_diag", 1.0)),
+            "eps_proj": _positive(ldoc.get("eps_proj", 0.1), "l1.eps_proj"),
+            "pred_diag": _negative(ldoc.get("pred_diag", -10.0),
+                                   "l1.pred_diag"),
+            "q_diag": _positive(ldoc.get("q_diag", 1.0), "l1.q_diag"),
         }
         for key in ("omega", "gamma"):
             val = out[key]
-            _require(val == "auto"
-                     or (isinstance(val, (int, float)) and val > 0),
+            _require(val == "auto" or (_is_finite_number(val) and val > 0),
                      f"l1.{key} must be positive or 'auto'")
         return out
 
     def ccm_samples(self) -> int:
         """Sample count of check-ccm: ``sampling.ccm_samples``, default
         10,000."""
-        sdoc = self.doc.get("sampling", {})
-        _require(isinstance(sdoc, dict), "'sampling' must be an object")
-        unknown = set(sdoc) - _SAMPLING_KEYS
-        _require(not unknown, f"unknown sampling keys: {sorted(unknown)}")
-        val = sdoc.get("ccm_samples", 10_000)
+        val = self._section("sampling").get("ccm_samples", 10_000)
         _require(isinstance(val, int) and not isinstance(val, bool)
                  and val > 0, "sampling.ccm_samples must be a positive integer")
         return val
@@ -304,11 +352,13 @@ class Scenario:
             lyap_q=spec["q_diag"] * np.eye(n))
 
     def initial_state(self, default) -> np.ndarray:
-        idoc = self.doc.get("init", {})
+        idoc = self._section("init")
         if "x0" in idoc:
-            x0 = np.asarray(idoc["x0"], dtype=float)
-            _require(x0.ndim == 1, "init.x0 must be a vector")
-            return x0
+            x0 = idoc["x0"]
+            _require(isinstance(x0, list)
+                     and all(_is_finite_number(v) for v in x0),
+                     "init.x0 must be a list of finite numbers")
+            return np.array(x0, dtype=float)
         return np.asarray(default, dtype=float)
 
     def desired_spec(self, model: DynamicsModel | None = None) -> dict:
@@ -354,14 +404,12 @@ class Scenario:
         return out
 
     def sweep_spec(self) -> dict:
-        sw = self.doc.get("sweep", {})
         out = {}
-        for key in ("omega", "gamma", "eps", "rho_a"):
-            if key in sw:
-                vals = sw[key]
-                _require(isinstance(vals, list) and vals,
-                         f"sweep.{key} must be a nonempty list")
-                out[key] = [float(v) for v in vals]
+        for key, vals in self._section("sweep").items():
+            _require(isinstance(vals, list) and vals
+                     and all(_is_finite_number(v) for v in vals),
+                     f"sweep.{key} must be a nonempty list of finite numbers")
+            out[key] = [float(v) for v in vals]
         return out
 
 

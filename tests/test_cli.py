@@ -554,3 +554,92 @@ class TestPlannerAndParseFailures:
         assert err.startswith("scenario error: metric dual is not positive "
                               "definite at x = ")
         assert "Traceback" not in err
+
+
+class TestErrorsOutsideTheLoops:
+    """Metric, geodesic and shape errors raised before any loop runs exit 1
+    with one line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize("verb", ["certify", "simulate"])
+    def test_far_initial_state_exits_1(self, verb, tmp_path, capsys):
+        # the tube around x0 = [20, 0, 0] reaches states where ex1's dual
+        # metric is not positive definite
+        doc = dict(builtin_scenario("ex1").doc, init={"x0": [20.0, 0.0, 0.0]})
+        doc["sim"] = dict(doc["sim"], t_final=0.05)
+        out = tmp_path / "out"
+        rc = main([verb, "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: MetricDomainError: dual "
+                              "metric not positive definite at x = [")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("error", ["GeodesicDomainError",
+                                       "MetricValidationError",
+                                       "DimensionMismatch"])
+    def test_each_remaining_error_exits_1(self, error, tmp_path, capsys,
+                                          monkeypatch):
+        from ccml1 import errors
+
+        def fail(*args, **kwargs):
+            raise getattr(errors, error)("bad\nstate")
+
+        monkeypatch.setattr(cli, "estimate_deltas", fail)
+        path = _write(tmp_path, _short_ex1_doc())
+        rc = main(["certify", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"scenario error: {error}: bad state\n"
+
+
+class TestStrictSections:
+    """Values of the wrong type and unknown keys in the flat sections are
+    scenario errors that name the key."""
+
+    @pytest.mark.parametrize("verb,section,fields,key", [
+        ("simulate", "sim", {"geodesic_intervals": "x"},
+         "sim.geodesic_intervals"),
+        ("simulate", "init", {"x0": "abc"}, "init.x0"),
+        ("sweep", "sweep", {"omega": ["a"], "gamma": [1e5]}, "sweep.omega"),
+    ], ids=["geodesic_intervals", "x0", "sweep_omega"])
+    def test_wrong_type_exits_1(self, verb, section, fields, key, tmp_path,
+                                capsys):
+        doc = _short_ex1_doc()
+        doc[section] = dict(doc.get(section, {}), **fields)
+        rc = main([verb, "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {key} must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key", [
+        ("tube", "epz"), ("l1", "omegaa"), ("sim", "sed"), ("init", "x"),
+        ("sweep", "rho")])
+    def test_unknown_key_exits_1(self, section, key, tmp_path, capsys):
+        doc = _short_ex1_doc()
+        doc[section] = dict(doc.get(section, {}), **{key: 0.3})
+        rc = main(["certify", "--scenario", str(_write(tmp_path, doc)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"scenario error: unknown {section} keys: ['{key}']\n")
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # a fresh interpreter: the CLI and the parsed builtins need numpy
+        # alone
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import ccml1.cli; "
+                "from ccml1.scenario import Scenario, builtin_scenario; "
+                "[Scenario.from_dict(builtin_scenario(n).doc) "
+                "for n in ('ex1', 'ex2')]; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

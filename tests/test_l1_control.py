@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_continuous_lyapunov
 
 from ccml1.l1_control import (L1Config, L1Rows, L1State, adaptation_step,
                               filter_step, predictor_rate, projection_map)
@@ -57,6 +58,48 @@ class TestConfig:
         assert cfg.clamp_radius == pytest.approx(0.2 * np.sqrt(1.1))
         # stays below the 1.1x envelope the simulations are audited against
         assert cfg.clamp_radius <= 1.1 * 0.2
+
+
+class TestLyapunovAgainstScipy:
+    """``lyap_p`` from the numpy solve equals scipy's Lyapunov solver: to
+    the bit (zero signs included) on the diagonal predictors and weights
+    the scenarios build, and to rounding on general Hurwitz matrices."""
+
+    @staticmethod
+    def _scipy(a, q):
+        p = solve_continuous_lyapunov(a.T, -q)
+        return 0.5 * (p + p.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diagonal_predictors_match_bit_for_bit(self, n):
+        for c in np.linspace(-30.0, -0.1, 61):
+            for q in (0.1, 0.5, 1.0, 2.0, 7.3):
+                a, qm = c * np.eye(n), q * np.eye(n)
+                p = _cfg(state_dim=n, pred_matrix=a, lyap_q=qm).lyap_p
+                assert p.tobytes() == self._scipy(a, qm).tobytes(), (c, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_non_normal_hurwitz_matrices_match_to_rounding(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            # stable eigenvalues, a large upper part, then a similarity
+            a = (-np.diag(rng.uniform(0.5, 20.0, n))
+                 + np.triu(rng.normal(scale=5.0, size=(n, n)), 1))
+            s = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+            a = s @ a @ np.linalg.inv(s)
+            b = rng.normal(size=(n, n))
+            q = b @ b.T + 0.1 * np.eye(n)
+            p = _cfg(state_dim=n, pred_matrix=a, lyap_q=q).lyap_p
+            ref = self._scipy(a, q)
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(p, ref, rtol=1e-12,
+                                       atol=1e-12 * scale)
+            resid = a.T @ p + p @ a + q
+            ref_resid = a.T @ ref + ref @ a + q
+            atol = 1e-12 * (np.abs(a).max() * scale + np.abs(q).max())
+            np.testing.assert_allclose(resid, ref_resid, rtol=1e-12,
+                                       atol=atol)
+            np.testing.assert_allclose(resid, 0.0, atol=atol)
 
 
 class TestProjection:

@@ -246,6 +246,49 @@ class TestSections:
             "divergence_limit")] == [(3, int), (6, int), (1.0, float),
                                      (False, bool), (5.0, float)]
 
+    def test_every_documented_key_is_accepted(self):
+        doc = _linear_doc(
+            tube={"eps": 0.3, "rho_a": 0.05},
+            l1={"omega": 40.0, "gamma": 1e5, "eps_proj": 0.2,
+                "pred_diag": -4.0, "q_diag": 2.0},
+            sim={"dt": 0.5, "t_final": 2.0, "seed": 1,
+                 "geodesic_intervals": 6, "geodesic_tol": 1e-9,
+                 "enforce_domain": False, "divergence_limit": 4.0},
+            init={"x0": [0.5, -0.5]},
+            sweep={"omega": [10, 20], "gamma": [1e5], "eps": [0.1],
+                   "rho_a": [0.1]})
+        scn = Scenario.from_dict(doc)
+        assert scn.sweep_spec()["eps"] == [0.1]
+        np.testing.assert_array_equal(scn.initial_state([0.0, 0.0]),
+                                      [0.5, -0.5])
+
+    @pytest.mark.parametrize("section,fields,match", [
+        ("sim", {"seed": -1}, "sim.seed"),
+        ("sim", {"seed": 1.5}, "sim.seed"),
+        ("sim", {"geodesic_intervals": 1}, "sim.geodesic_intervals"),
+        ("sim", {"geodesic_tol": 0.0}, "sim.geodesic_tol"),
+        ("sim", {"enforce_domain": "no"}, "sim.enforce_domain"),
+        ("sim", {"divergence_limit": [1.0]}, "sim.divergence_limit"),
+        ("l1", {"eps_proj": "x"}, "l1.eps_proj"),
+        ("l1", {"pred_diag": 1.0}, "l1.pred_diag"),
+        ("l1", {"q_diag": 0.0}, "l1.q_diag"),
+        ("l1", {"omega": [1.0]}, "l1.omega"),
+        ("sweep", {"gamma": [1e5, True]}, "sweep.gamma"),
+        ("tube", {"epz": 0.3}, "unknown tube keys"),
+    ])
+    def test_bad_section_values_name_the_key(self, section, fields, match):
+        doc = _linear_doc()
+        doc[section] = dict(doc.get(section, {}), **fields)
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["tube", "l1", "sim", "init",
+                                         "sweep", "sampling"])
+    def test_a_section_must_be_an_object(self, section):
+        with pytest.raises(ScenarioError, match=f"'{section}' must be an "
+                                                f"object"):
+            Scenario.from_dict(_linear_doc(**{section: [1.0]}))
+
     def test_tube_defaults_and_validation(self):
         assert Scenario.from_dict(_linear_doc()).tube_params() == (0.1, 0.1)
         scn = Scenario.from_dict(_linear_doc(tube={"eps": 0.3,
