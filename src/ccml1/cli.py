@@ -113,48 +113,50 @@ def _load_scenario(args) -> Scenario:
 
 def _assemble(scn: Scenario):
     """System, sim config, desired trajectory, and initial state."""
-    sysb = scn.system()
-    cfg = scn.sim_config()
-    ddoc = scn.desired_spec()
-    if ddoc["kind"] == "constant":
+    sysb, cfg, desired = scn.system(), scn.sim, scn.desired
+    if desired is None:
+        raise ScenarioError("scenario needs a 'desired' section")
+    if desired["kind"] == "constant":
         traj_star = DesiredTrajectory.constant(
-            np.asarray(ddoc["state"], dtype=float),
-            np.asarray(ddoc["input"], dtype=float),
-            t0=0.0, t_final=cfg.t_final, dt=cfg.dt)
+            desired["state"], desired["input"], t_final=cfg.t_final, dt=cfg.dt)
     else:
-        plan = ilqr_plan(sysb.model, np.asarray(ddoc["start"], dtype=float),
-                         np.asarray(ddoc["target"], dtype=float),
-                         t_final=float(ddoc["t_final"]),
-                         dt=float(ddoc["dt"]))
-        if abs(plan.dt - cfg.dt) > 1e-15:
+        traj_star = ilqr_plan(sysb.model, desired["start"], desired["target"],
+                              t_final=desired["t_final"], dt=desired["dt"])
+        if abs(traj_star.dt - cfg.dt) > 1e-15:
             try:
-                plan = plan.refine(sysb.model, cfg.dt)
+                traj_star = traj_star.refine(sysb.model, cfg.dt)
             except ValueError as exc:
-                raise ScenarioError(f"plan dt {ddoc['dt']} does not refine "
-                                    f"to sim dt {cfg.dt}: {exc}") from exc
-        traj_star = plan
-    x0 = scn.initial_state(default=traj_star.states[0])
-    if x0.shape != (sysb.model.state_dim,):
-        raise ScenarioError("init.x0 has the wrong dimension")
+                raise ScenarioError(f"plan dt {desired['dt']} does not refine"
+                                    f" to sim dt {cfg.dt}: {exc}") from exc
+    x0 = traj_star.states[0] if scn.x0 is None else scn.x0
     return sysb, cfg, traj_star, x0
+
+
+def _sampling_l1_config(scn: Scenario, sysb):
+    """The L1 tuning the tube sampling assumes."""
+    return scn.make_l1_config(sysb.model, 1.0, 1.0,
+                              max(sysb.bounds.unc_sup or 1.0, 1e-12))
+
+
+def _loop_l1_config(scn: Scenario, sysb, deltas, omega, gamma):
+    """A loop's L1 tuning: the assumed uncertainty bound, else the sampled."""
+    unc = sysb.bounds.unc_sup
+    return scn.make_l1_config(sysb.model, omega, gamma,
+                              deltas.unc_sup if unc is None else unc)
 
 
 def _certificate_pipeline(scn: Scenario, sysb, cfg, traj_star, x0):
     """Deltas plus certificate; resolves 'auto' tuning via the search."""
     field, model = sysb.metric, sysb.model
-    eps, rho_a = scn.tube_params()
+    eps, rho_a = scn.eps, scn.rho_a
     x0_star = traj_star.states[0]
     _, rho = tube_radii(field.eig_floor, field.eig_ceil, eps, rho_a, x0,
                         x0_star)
-    sampling = TubeSampling(seed=cfg.seed)
-    l1_for_sampling = scn.make_l1_config(
-        model, omega=1.0, gamma=1.0,
-        unc_bound=max(sysb.bounds.unc_sup or 1.0, 1e-12))
     deltas = estimate_deltas(model, field, sysb.bounds, rho, traj_star,
-                             sampling=sampling, l1_config=l1_for_sampling)
+                             sampling=TubeSampling(seed=cfg.seed),
+                             l1_config=_sampling_l1_config(scn, sysb))
 
-    spec = scn.l1_spec()
-    omega, gamma = spec["omega"], spec["gamma"]
+    omega, gamma = scn.l1["omega"], scn.l1["gamma"]
     searched = False
     if omega == "auto" or gamma == "auto":
         res = search_params(field, deltas, eps, rho_a, x0, x0_star)
@@ -162,8 +164,8 @@ def _certificate_pipeline(scn: Scenario, sysb, cfg, traj_star, x0):
             raise InfeasibleCertificate(
                 f"tuning search failed; binding condition: {res.binding}")
         searched = True
-        omega = res.omega if spec["omega"] == "auto" else spec["omega"]
-        gamma = res.gamma if spec["gamma"] == "auto" else spec["gamma"]
+        omega = res.omega if omega == "auto" else omega
+        gamma = res.gamma if gamma == "auto" else gamma
     cert = check_conditions(field, deltas, float(omega), float(gamma),
                             eps, rho_a, x0, x0_star)
     return deltas, cert, searched
@@ -261,12 +263,8 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
               f"> {_GAMMA_DT_WARN:g}; the explicit adaptation update may be "
               f"marginally stable (reduce dt or the gain)", file=sys.stderr)
 
-    unc_bound = sysb.bounds.unc_sup
-    if unc_bound is None:
-        unc_bound = deltas.unc_sup
-    l1cfg = None
-    if not args.no_l1:
-        l1cfg = scn.make_l1_config(model, cert.omega, cert.gamma, unc_bound)
+    l1cfg = None if args.no_l1 else _loop_l1_config(scn, sysb, deltas,
+                                                     cert.omega, cert.gamma)
 
     loops = {"closed_loop": ("actual", integrate_closed_loop(l1cfg)),
              "reference": ("reference", integrate_reference(cert.omega)),
@@ -296,10 +294,9 @@ def cmd_simulate(scn: Scenario, args, out: Path) -> int:
         if traj.stopped is not None:
             report[name]["diverged"] = str(traj.stopped)
 
-    obstacles = scn.obstacles()
-    if obstacles and model.state_dim == 2:
+    if scn.obstacles and model.state_dim == 2:
         report["obstacle_clearance"] = float(tube_obstacle_clearance(
-            traj_star.states, cert.rho, obstacles))
+            traj_star.states, cert.rho, scn.obstacles))
 
     _write_json(out / "containment.json", report)
 
@@ -330,28 +327,17 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
     sysb, cfg, traj_star, x0 = _assemble(scn)
     model, field = sysb.model, sysb.metric
     x0_star = traj_star.states[0]
-    grid = scn.sweep_spec()
-    spec = scn.l1_spec()
-    eps0, rho_a0 = scn.tube_params()
+    # each axis: the sweep's list, else the scenario's one value
+    grid = {key: scn.sweep.get(key, [fallback]) for key, fallback in (
+        ("omega", scn.l1["omega"]), ("gamma", scn.l1["gamma"]),
+        ("eps", scn.eps), ("rho_a", scn.rho_a))}
+    for key in ("omega", "gamma"):
+        if grid[key] == ["auto"]:
+            raise ScenarioError(f"sweep needs an explicit list for '{key}' "
+                                f"(scenario default is 'auto')")
 
-    def axis(key, fallback):
-        if key in grid:
-            return grid[key]
-        if fallback == "auto":
-            raise ScenarioError(
-                f"sweep needs an explicit list for '{key}' "
-                f"(scenario default is 'auto')")
-        return [float(fallback)]
-
-    omegas = axis("omega", spec["omega"])
-    gammas = axis("gamma", spec["gamma"])
-    epss = axis("eps", eps0)
-    rho_as = axis("rho_a", rho_a0)
-
-    unc_bound = sysb.bounds.unc_sup
     sampling = TubeSampling(seed=cfg.seed)
-    l1_sampling = scn.make_l1_config(model, 1.0, 1.0,
-                                     max(unc_bound or 1.0, 1e-12))
+    l1_sampling = _sampling_l1_config(scn, sysb)
     delta_cache: dict[float, object] = {}
 
     header = ["omega", "gamma", "eps", "rho_a", "rho", "valid",
@@ -367,8 +353,7 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
     # certificates first, in grid order; the combinations that share a
     # tube radius share its constants, and their loops run in batches
     rows, groups = [], {}
-    for omega, gamma, eps, rho_a in itertools.product(omegas, gammas,
-                                                      epss, rho_as):
+    for omega, gamma, eps, rho_a in itertools.product(*grid.values()):
         row = [omega, gamma, eps, rho_a]
         rows.append(row)
         try:
@@ -386,9 +371,7 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
                       f"{gamma * cfg.dt:.3g} > {_GAMMA_DT_WARN:g} "
                       f"(omega={omega:g}, gamma={gamma:g})",
                       file=sys.stderr)
-            l1cfg = scn.make_l1_config(
-                model, omega, gamma,
-                unc_bound if unc_bound is not None else deltas.unc_sup)
+            l1cfg = _loop_l1_config(scn, sysb, deltas, omega, gamma)
         except (CcmL1Error, ValueError) as exc:
             fail(row, exc)
             continue
@@ -436,14 +419,13 @@ def cmd_sweep(scn: Scenario, args, out: Path) -> int:
 
 def cmd_check_ccm(scn: Scenario, args, out: Path) -> int:
     sysb = scn.system()
-    cfg = scn.sim_config()
     region = sysb.metric.domain if sysb.metric.domain is not None \
         else sysb.safe_set
     if not region.is_bounded:
         raise ScenarioError("check-ccm needs a bounded region to sample: "
                             "give the metric a 'domain'")
     rep = ccm_check(sysb.model, sysb.metric, region=region,
-                    n_samples=scn.ccm_samples(), seed=cfg.seed)
+                    n_samples=scn.ccm_samples, seed=scn.sim.seed)
     _write_json(out / "ccm_check.json", {"scenario": scn.name,
                                          **rep.as_dict()})
     print(f"metric conditions {'PASS' if rep.passed else 'FAIL'} on "

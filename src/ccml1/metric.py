@@ -118,23 +118,6 @@ class PolyMatrix:
             terms.append((tuple(new_p), p * coeff))
         return PolyMatrix(self.dim_in, self.shape, terms)
 
-    @classmethod
-    def from_entry_table(cls, dim_in: int, table) -> "PolyMatrix":
-        """Build from per-entry monomial lists (the scenario-file form):
-        ``table[i][j]`` lists ``{"coeff": c, "powers": [...]}`` terms."""
-        rows = len(table)
-        cols = len(table[0]) if rows else 0
-        acc: dict[tuple[int, ...], np.ndarray] = {}
-        for i in range(rows):
-            if len(table[i]) != cols:
-                raise ValueError("ragged entry table")
-            for j in range(cols):
-                for term in table[i][j]:
-                    powers = tuple(int(p) for p in term["powers"])
-                    mat = acc.setdefault(powers, np.zeros((rows, cols)))
-                    mat[i, j] += float(term["coeff"])
-        return cls(dim_in, (rows, cols), list(acc.items()))
-
 
 @dataclass
 class MetricField:
@@ -170,8 +153,11 @@ class MetricField:
                              else act)
         self._fused = PolyMatrix.vstack(
             [self.dual_poly] + [partials[i] for i in self.active_coords])
-        self.constant_metric = (np.linalg.inv(self.dual_poly.sum_coeffs())
-                                if self.dual_poly.is_constant else None)
+        self.constant_metric = None
+        if self.dual_poly.is_constant:
+            dual = self.dual_poly.sum_coeffs()
+            _require_pd(dual[None], None)   # the same at every state
+            self.constant_metric = np.linalg.inv(dual)
 
     @property
     def is_constant(self) -> bool:
@@ -264,7 +250,10 @@ class MetricField:
             return
         rng = np.random.default_rng(seed)
         pts = self.domain.sample(n_samples, rng, include_extremes=True)
-        eigs = np.linalg.eigvalsh(self.metric_batch(pts))
+        metrics = self.metric_batch(pts)
+        if not np.isfinite(metrics).all():
+            raise MetricValidationError("sampled metric is not finite")
+        eigs = np.linalg.eigvalsh(metrics)
         lo, hi = eigs[:, 0].min(), eigs[:, -1].max()
         if lo < self.eig_floor * (1.0 - rel_slack) or hi > self.eig_ceil * (1.0 + rel_slack):
             raise MetricValidationError(
@@ -272,10 +261,11 @@ class MetricField:
                 f"declared envelope [{self.eig_floor:.6g}, {self.eig_ceil:.6g}]")
 
 
-def _require_pd(duals: np.ndarray, xs: np.ndarray, order=None) -> None:
+def _require_pd(duals: np.ndarray, xs, order=None) -> None:
     """Raise MetricDomainError at the first state, taken in ``order`` (row
     indices; all rows in turn by default), whose dual is not positive
-    definite.  One stacked factorization covers the common case."""
+    definite, naming none if ``xs`` is None (a dual the same at every
+    state).  One stacked factorization covers the common case."""
     try:
         np.linalg.cholesky(duals if order is None else duals[order])
     except np.linalg.LinAlgError:
@@ -283,8 +273,9 @@ def _require_pd(duals: np.ndarray, xs: np.ndarray, order=None) -> None:
             try:
                 np.linalg.cholesky(duals[i])
             except np.linalg.LinAlgError:
-                raise MetricDomainError("dual metric not positive definite",
-                                        x=np.array(xs[i]), row=int(i)) from None
+                raise MetricDomainError(
+                    "dual metric not positive definite", row=int(i),
+                    x=None if xs is None else np.array(xs[i])) from None
         raise MetricDomainError("dual metric not positive definite") from None
 
 

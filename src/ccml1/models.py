@@ -16,7 +16,7 @@ model may back with a vectorized implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -195,11 +195,7 @@ class AssumptionBounds:
                 raise ValueError(f"bound {name} must be nonnegative, got {val}")
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "drift_sup", "drift_jac_sup", "input_sup", "input_grad_sup",
-            "input_col_jac_sup", "unc_sup", "unc_state_grad_sup",
-            "unc_time_grad_sup", "pinv_sup", "pinv_grad_sup",
-            "desired_input_sup")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -300,14 +296,6 @@ class SafeSet:
         if extremes:
             pts = np.vstack([np.array(extremes), pts])
         return pts
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SafeSet":
-        """Read the scenario form: ``kind``, ``center`` and ``half_widths``
-        (box) or ``radius`` (ball)."""
-        if d["kind"] == "box":
-            return cls.box(d["center"], d["half_widths"])
-        return cls.ball(d["center"], d["radius"])
 
 
 class DesiredTrajectory:

@@ -1,10 +1,10 @@
 """Scenario files: a single versioned JSON document describing one experiment.
 
-A scenario names the plant (a builtin or an inline polynomial definition),
-the metric, the assumed bounds, the tube slacks, the filter/adaptation
-tuning (numbers or "auto"), the integration settings, and optionally a
-planning problem and polygonal obstacles.  Parsing is strict; serialization
-is canonical (sorted keys, two-space indent, trailing newline) so that
+A scenario names the plant (a builtin or an inline polynomial model, its
+metric and bounds), the tube slacks, the filter/adaptation tuning (numbers
+or "auto"), the integration settings, and optionally a planning problem and
+polygonal obstacles.  One table of readers reads it once, strictly at every
+level; no other module knows the format.  Serialization is canonical, so
 load -> dump round-trips byte-identically.
 """
 
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+import sys
+from collections import ChainMap
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -25,26 +27,6 @@ from .sim import SimConfig
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {"version", "name", "model", "metric", "bounds", "tube", "l1",
-             "sim", "init", "desired", "obstacles", "outputs", "sweep",
-             "sampling"}
-# the keys each flat section takes
-_SECTION_KEYS = {
-    "sampling": {"ccm_samples"},
-    "tube": {"eps", "rho_a"},
-    "l1": {"omega", "gamma", "eps_proj", "pred_diag", "q_diag"},
-    "sim": {"dt", "t_final", "seed", "geodesic_intervals", "geodesic_tol",
-            "enforce_domain", "divergence_limit"},
-    "init": {"x0"},
-    "sweep": {"omega", "gamma", "eps", "rho_a"},
-}
-# desired kind -> its keys (all required) and which vectors have which length
-_DESIRED_KEYS = {"constant": {"kind", "state", "input"},
-                 "plan": {"kind", "start", "target", "t_final", "dt"}}
-_DESIRED_VECTORS = {"state": "state_dim", "input": "input_dim",
-                    "start": "state_dim", "target": "state_dim"}
-_OBSTACLE_KEYS = {"polygon"}
-
 
 def canonical_json(doc: dict) -> str:
     """The one true serialization: sorted keys, 2-space indent, newline."""
@@ -56,72 +38,361 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
-def _is_finite_number(val) -> bool:
+# --- the reader --------------------------------------------------------------
+# A reader takes (value, name, ctx) and returns the value checked and
+# converted; ``name`` is the key's dotted path, for the message, and ``ctx``
+# maps every key read before it, at its own level and the levels around it,
+# to what it read (the model's dimensions, say).
+
+_REQUIRED = object()     # default of a key the object must have
+_OMIT = object()         # default of a key left out of the result when absent
+
+
+def _read(doc, table: dict, where: str, ctx) -> dict:
+    """The object ``doc``, named ``where`` ("" at the top level), read by
+    ``table`` (key -> (reader, default)) in the table's order, inside the
+    keys ``ctx`` read before.  A key left out reads its default, unless that
+    is ``_REQUIRED`` (an error) or ``_OMIT`` (left out)."""
+    what = where or "scenario"
+    _require(isinstance(doc, dict), f"'{what}' must be an object")
+    unknown = set(doc) - table.keys()
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+    missing = [k for k, (_, d) in table.items() if d is _REQUIRED
+               and k not in doc]
+    _require(not missing, f"{what} needs keys {missing}")
+    out: dict = {}
+    scope = ChainMap(out, ctx)
+    for key, (read, default) in table.items():
+        if key in doc or default is not _OMIT:
+            out[key] = read(doc[key] if key in doc else default,
+                            f"{where}.{key}" if where else key, scope)
+    return out
+
+
+def _object(table: dict):
+    """A reader of an object by ``table``, passing its context on."""
+    return lambda val, name, ctx: _read(val, table, name, ctx)
+
+
+def _by_kind(tables: dict, build=dict):
+    """A reader of an object by the table of its ``kind``, into ``build``."""
+    def read(val, name, ctx):
+        _require(isinstance(val, dict), f"'{name}' must be an object")
+        kind = val.get("kind")
+        _require(isinstance(kind, str) and kind in tables,
+                 f"{name}.kind must be one of {sorted(tables)}")
+        return build(**_read(val, tables[kind], name, ctx))
+    return read
+
+
+def _is_number(val) -> bool:
+    """A finite number (not a boolean, nor an int beyond the float range)."""
     return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val))
+            and abs(val) <= sys.float_info.max)
 
 
-def _vector(val, length: int, name: str) -> np.ndarray:
-    """A list of ``length`` finite numbers, as a float array."""
-    _require(isinstance(val, list) and len(val) == length
-             and all(_is_finite_number(v) for v in val),
-             f"{name} must be a list of {length} finite numbers")
-    return np.array(val, dtype=float)
+def _value(ok, what: str, convert=None):
+    """A reader of a value for which ``ok`` holds, through ``convert``."""
+    def read(val, name, ctx):
+        _require(ok(val), f"{name} must be {what}")
+        return val if convert is None else convert(val)
+    return read
 
 
-def _integer(val, name: str, least: int) -> int:
+def _integer(least: int):
     """An integral number of at least ``least`` (``6.0`` reads as 6)."""
-    _require(_is_finite_number(val) and val == int(val) and val >= least,
-             f"{name} must be an integer of at least {least}")
-    return int(val)
+    return _value(lambda v: _is_number(v) and v == int(v) and v >= least,
+                  "a positive integer" if least == 1
+                  else f"an integer of at least {least}", int)
 
 
-def _positive(val, name: str) -> float:
-    _require(_is_finite_number(val) and val > 0,
-             f"{name} must be a positive finite number")
-    return float(val)
+_finite = _value(_is_number, "a finite number", float)
+_positive = _value(lambda v: _is_number(v) and v > 0,
+                   "a positive finite number", float)
+_negative = _value(lambda v: _is_number(v) and v < 0,
+                   "a negative finite number", float)
+_natural = _integer(0)
+# true or false; 1 and 0 read as them
+_flag = _value(lambda v: isinstance(v, bool)
+               or (_is_number(v) and v in (0, 1)), "true or false", bool)
+_tuning = _value(lambda v: v == "auto" or (_is_number(v) and v > 0),
+                 "positive or 'auto'",
+                 lambda v: v if v == "auto" else float(v))
+_axis = _value(lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+               "a nonempty list of finite numbers",
+               lambda v: [float(x) for x in v])
+# null, like leaving the key out, has the bound estimated by sampling
+_bound = _value(lambda v: v is None or (_is_number(v) and v >= 0),
+                "a nonnegative finite number or null",
+                lambda v: v if v is None else float(v))
+_text = _value(lambda v: isinstance(v, str), "a string")
+_any = _value(lambda v: True, "")
 
 
-def _negative(val, name: str) -> float:
-    _require(_is_finite_number(val) and val < 0,
-             f"{name} must be a negative finite number")
-    return float(val)
+def _list(val, length: int, name: str, of: str) -> list:
+    _require(isinstance(val, list) and len(val) == length,
+             f"{name} must be a list of {length} {of}")
+    return val
 
 
-def _flag(val, name: str) -> bool:
-    """true or false (``1`` and ``0`` read as them)."""
-    _require(isinstance(val, bool)
-             or (_is_finite_number(val) and val in (0, 1)),
-             f"{name} must be true or false")
-    return bool(val)
+def _vector(val, length: int, name: str, of: str = "finite numbers",
+            each=_finite) -> np.ndarray:
+    """A list of ``length`` numbers, each read by ``each``, as an array."""
+    return np.array([each(v, f"{name}[{i}]", {}) for i, v
+                     in enumerate(_list(val, length, name, of))], dtype=float)
 
 
-# optional sim keys -> the reader of each, given its value and its name
-_SIM_OPTIONAL = {"seed": lambda v, k: _integer(v, k, 0),
-                 "geodesic_intervals": lambda v, k: _integer(v, k, 2),
-                 "geodesic_tol": _positive, "enforce_domain": _flag,
-                 "divergence_limit": _positive}
+def _sized(dim: str, of: str = "finite numbers", each=_finite):
+    """A reader of a list of ``ctx[dim]`` numbers, each read by ``each``."""
+    return lambda val, name, ctx: _vector(val, ctx[dim], name,
+                                          f"{of} ({dim})", each)
 
 
-def _num(doc: dict, key: str, default=None, positive=False):
-    val = doc.get(key, default)
-    _require(val is not None, f"missing numeric field '{key}'")
-    _require(isinstance(val, (int, float)) and math.isfinite(val),
-             f"field '{key}' must be a finite number")
-    if positive:
-        _require(val > 0, f"field '{key}' must be positive")
-    return float(val)
+def _in_model(read):
+    """``read`` with the model's ``state_dim`` and ``input_dim`` in ctx."""
+    def wrapped(val, name, ctx):
+        model = ctx["model"]
+        model = model.model if isinstance(model, BuiltinSystem) else model
+        return read(val, name, ChainMap({"state_dim": model.state_dim,
+                                         "input_dim": model.input_dim}, ctx))
+    return wrapped
+
+
+def _sim(val, name, ctx) -> SimConfig:
+    try:
+        return SimConfig(**_read(val, _SIM, name, ctx))
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
+def _obstacles(val, name, ctx) -> list[np.ndarray]:
+    _require(isinstance(val, list) and all(
+        isinstance(item, dict) and set(item) == {"polygon"} for item in val),
+        f"'{name}' must be a list of objects with only a 'polygon' key")
+    polygons = [item["polygon"] for item in val]
+    _require(all(isinstance(p, list) and len(p) >= 3 for p in polygons),
+             "obstacle polygon needs at least three vertices")
+    return [np.array([_vector(v, 2, "obstacle polygon vertex") for v in p])
+            for p in polygons]
+
+
+# --- the model, its metric and its bounds ------------------------------------
+
+
+def _poly_table(val, name: str, shape: tuple[int, int], ctx,
+                column: bool = False) -> PolyMatrix:
+    """A ``shape`` polynomial matrix in ``state_dim`` variables: ``val[i][j]``
+    (``val[i]`` for a ``column``) lists the monomials of entry (i, j), each
+    ``{"coeff": c, "powers": [p_1, ..., p_n]}``."""
+    acc: dict[tuple[int, ...], np.ndarray] = {}
+    for i, row in enumerate(_list(val, shape[0], name, "rows")):
+        row = [row] if column else _list(row, shape[1], f"{name}[{i}]",
+                                         "monomial lists")
+        for j, terms in enumerate(row):
+            at = f"{name}[{i}]" if column else f"{name}[{i}][{j}]"
+            _require(isinstance(terms, list),
+                     f"{at} must be a list of monomials")
+            for term in terms:
+                got = _read(term, _MONOMIAL, at, ctx)
+                powers = tuple(map(int, got["powers"]))
+                acc.setdefault(powers, np.zeros(shape))[i, j] += got["coeff"]
+    return PolyMatrix(ctx["state_dim"], shape, list(acc.items()))
+
+
+def _constant_input(val, name, ctx) -> PolyMatrix:
+    n, m = ctx["state_dim"], ctx["input_dim"]
+    rows = [_sized("input_dim")(row, f"{name}[{i}]", ctx)
+            for i, row in enumerate(_list(val, n, name, "rows"))]
+    return PolyMatrix(n, (n, m), [((0,) * n, np.array(rows))])
+
+
+def _input_matrix(val, name, ctx) -> PolyMatrix:
+    got = _read(val, _INPUT_MATRIX, name, ctx)
+    _require(len(got) == 1, f"{name} needs one of 'constant' and 'entries'")
+    return next(iter(got.values()))
+
+
+def _channels(val, name, ctx) -> np.ndarray:
+    """One finite number for every input channel, or a list of input_dim."""
+    return (np.full(ctx["input_dim"], float(val)) if _is_number(val)
+            else _sized("input_dim")(val, name, ctx))
+
+
+def _uncertainty(val, name, ctx):
+    """Disturbance family: per-channel a*sin(freq*t) + c*|x| + b."""
+    u = _read(val, _UNCERTAINTY, name, ctx)
+    return lambda t, x: (u["amp_sin"] * math.sin(u["freq"] * t)
+                         + u["state_gain"] * np.linalg.norm(x) + u["offset"])
+
+
+def _inline_model(val, name, ctx) -> DynamicsModel:
+    got = _read(val, _INLINE_MODEL, name, ctx)
+    n, m = got["state_dim"], got["input_dim"]
+    drift_poly, b_poly = got["drift"], got["input_matrix"]
+    drift_partials = [drift_poly.partial(i) for i in range(n)]
+    b_partials = [b_poly.partial(i) for i in range(n)]
+
+    drift = lambda x: drift_poly(x)[:, 0]
+    jac = lambda x: np.column_stack([dp(x)[:, 0] for dp in drift_partials])
+    if b_poly.is_constant:
+        b_const = b_poly.sum_coeffs()
+        input_matrix = lambda x: b_const
+        d_input = lambda x: np.zeros((n, n, m))
+    else:
+        input_matrix = b_poly.__call__
+        d_input = lambda x: np.stack([bp(x) for bp in b_partials])
+
+    # drift with its partials, and the input matrix with its partials,
+    # each as one stacked polynomial: a batch costs two evaluations
+    drift_stack = PolyMatrix.vstack([drift_poly] + drift_partials)
+    b_stack = PolyMatrix.vstack([b_poly] + b_partials)
+
+    def vectorized(xs):
+        k = xs.shape[0]
+        f = drift_stack.eval_batch(xs).reshape(k, n + 1, n)
+        b = b_stack.eval_batch(xs).reshape(k, n + 1, n, m)
+        return ModelBatch(f[:, 0], f[:, 1:].swapaxes(1, 2), b[:, 0],
+                          b[:, 1:])
+
+    return DynamicsModel(state_dim=n, input_dim=m, drift=drift,
+                         input_matrix=input_matrix, jac_drift=jac,
+                         d_input=d_input, uncertainty=got.get("uncertainty"),
+                         vectorized=vectorized)
+
+
+def _model(val, name, ctx):
+    """A builtin system, or an inline model (whose metric and bounds are
+    sections of their own)."""
+    if not (isinstance(val, dict) and "builtin" in val):
+        return _inline_model(val, name, ctx)
+    builtin = _read(val, {"builtin": (_any, _REQUIRED)}, name, ctx)["builtin"]
+    _require(builtin in ("ex1", "ex2"), f"unknown builtin model {builtin!r}")
+    return builtin_example(builtin)
+
+
+def _inline_only(name: str, ctx):
+    _require(not isinstance(ctx["model"], BuiltinSystem),
+             f"'{name}' is not allowed with a builtin model, which carries "
+             f"its own")
+
+
+def _metric(val, name, ctx) -> MetricField:
+    _inline_only(name, ctx)
+    got = _read(val, _METRIC, name, ctx)
+    try:
+        return MetricField.from_dual_polynomial(
+            got["dual"], contraction_rate=got["rate"],
+            eig_floor=got["eig_floor"], eig_ceil=got["eig_ceil"],
+            domain=got.get("domain"))
+    except MetricDomainError as exc:
+        at = "" if exc.x is None else f" at x = {exc.x.tolist()}"
+        raise ScenarioError(f"metric dual is not positive definite{at}") \
+            from exc
+    except MetricValidationError as exc:
+        raise ScenarioError(f"metric: {exc}") from exc
+
+
+def _bounds(val, name, ctx) -> AssumptionBounds:
+    _inline_only(name, ctx)
+    return AssumptionBounds(**_read(val, _BOUNDS, name, ctx))
+
+
+# --- the table: section -> key -> (reader, default) --------------------------
+# The sections see ``model``, and those read ``_in_model`` also its
+# ``state_dim`` and ``input_dim``, which the inline model's later keys see
+# as read before them.
+
+_KIND = (_any, _REQUIRED)                     # checked by _by_kind
+_state_vector = _sized("state_dim")
+_POINT = (_state_vector, _REQUIRED)
+
+_MONOMIAL = {"coeff": (_finite, _REQUIRED),
+             "powers": (_sized("state_dim", "integers", _natural),
+                        _REQUIRED)}
+_INPUT_MATRIX = {
+    "constant": (_constant_input, _OMIT),
+    "entries": (lambda v, name, ctx: _poly_table(
+        v, name, (ctx["state_dim"], ctx["input_dim"]), ctx), _OMIT)}
+_UNCERTAINTY = {"amp_sin": (_channels, 0.0), "freq": (_finite, 1.0),
+                "state_gain": (_channels, 0.0), "offset": (_channels, 0.0)}
+_INLINE_MODEL = {"state_dim": (_integer(1), _REQUIRED),
+                 "input_dim": (_integer(1), _REQUIRED),
+                 "drift": (lambda v, name, ctx: _poly_table(
+                     v, name, (ctx["state_dim"], 1), ctx, True), _REQUIRED),
+                 "input_matrix": (_input_matrix, _REQUIRED),
+                 "uncertainty": (_uncertainty, _OMIT)}
+_DOMAINS = {
+    "box": {"kind": _KIND, "center": _POINT,
+            "half_widths": (_sized("state_dim", "positive numbers",
+                                   _positive), _REQUIRED)},
+    "ball": {"kind": _KIND, "center": _POINT,
+             "radius": (_positive, _REQUIRED)}}
+_domain = _by_kind(_DOMAINS, SafeSet)
+_METRIC = {"dual": (lambda v, name, ctx: _poly_table(
+               v, name, (ctx["state_dim"],) * 2, ctx), _REQUIRED),
+           "rate": (_positive, _REQUIRED),
+           "eig_floor": (_positive, _REQUIRED),
+           "eig_ceil": (_positive, _REQUIRED),
+           "domain": (_domain, _OMIT)}
+_BOUNDS = {f.name: (_bound, _OMIT) for f in fields(AssumptionBounds)}
+_SIM = {"dt": (_positive, _REQUIRED), "t_final": (_positive, _REQUIRED),
+        "seed": (_natural, _OMIT), "geodesic_intervals": (_integer(2), _OMIT),
+        "geodesic_tol": (_positive, _OMIT), "enforce_domain": (_flag, _OMIT),
+        "divergence_limit": (_positive, _OMIT)}
+_DESIRED = {
+    "constant": {"kind": _KIND, "state": (_state_vector, _REQUIRED),
+                 "input": (_sized("input_dim"), _REQUIRED)},
+    "plan": {"kind": _KIND, "start": (_state_vector, _REQUIRED),
+             "target": (_state_vector, _REQUIRED),
+             "t_final": (_positive, _REQUIRED), "dt": (_positive, _REQUIRED)}}
+_SCENARIO = {
+    "version": (_value(lambda v: _is_number(v) and v == SCHEMA_VERSION,
+                       f"{SCHEMA_VERSION}"), _REQUIRED),
+    "name": (_text, "scenario"),
+    "model": (_model, _REQUIRED),
+    "metric": (_in_model(_metric), _OMIT),
+    "bounds": (_bounds, _OMIT),
+    "tube": (_object({"eps": (_positive, 0.1), "rho_a": (_positive, 0.1)}),
+             {}),
+    "l1": (_object({"omega": (_tuning, "auto"), "gamma": (_tuning, "auto"),
+                    "eps_proj": (_positive, 0.1),
+                    "pred_diag": (_negative, -10.0),
+                    "q_diag": (_positive, 1.0)}), {}),
+    "sim": (_sim, _REQUIRED),
+    "init": (_in_model(_object({"x0": (_state_vector, _OMIT)})), {}),
+    "desired": (_in_model(_by_kind(_DESIRED)), _OMIT),
+    "obstacles": (_obstacles, []),
+    "sweep": (_object(dict.fromkeys(("omega", "gamma", "eps", "rho_a"),
+                                    (_axis, _OMIT))), {}),
+    "sampling": (_object({"ccm_samples": (_integer(1), 10_000)}), {}),
+    # accepted and read by nothing
+    "outputs": (_value(lambda v: isinstance(v, dict) and all(
+        isinstance(s, str) for s in v.values()), "an object of strings"),
+        _OMIT),
+}
+
+
+# a field of what the document says, which is not part of the value
+_PARSED = {"repr": False, "compare": False}
 
 
 @dataclass
 class Scenario:
-    """Parsed scenario plus lazily built runtime objects."""
+    """A scenario document and what it says, read once by
+    :meth:`from_dict`.  Two scenarios are equal when their documents are."""
 
     doc: dict
-    _system: BuiltinSystem | None = dc_field(default=None, init=False,
-                                             repr=False, compare=False)
-
-    # -- parsing -------------------------------------------------------------
+    name: str = dc_field(**_PARSED)
+    sim: SimConfig = dc_field(**_PARSED)
+    eps: float = dc_field(**_PARSED)      # slack of the reference radius
+    rho_a: float = dc_field(**_PARSED)    # the adaptation floor
+    l1: dict = dc_field(**_PARSED)        # omega and gamma may be "auto"
+    ccm_samples: int = dc_field(**_PARSED)
+    x0: np.ndarray | None = dc_field(**_PARSED)   # None: the desired start
+    desired: dict | None = dc_field(**_PARSED)
+    obstacles: list[np.ndarray] = dc_field(**_PARSED)
+    sweep: dict[str, list[float]] = dc_field(**_PARSED)
+    _system: BuiltinSystem = dc_field(**_PARSED)
 
     @classmethod
     def from_text(cls, text: str) -> "Scenario":
@@ -133,35 +404,29 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        _require(isinstance(doc, dict), "scenario must be a JSON object")
-        _require(doc.get("version") == SCHEMA_VERSION,
-                 f"unsupported scenario version {doc.get('version')!r} "
-                 f"(expected {SCHEMA_VERSION})")
-        unknown = set(doc) - _TOP_KEYS
-        _require(not unknown, f"unknown scenario keys: {sorted(unknown)}")
-        _require("model" in doc, "scenario needs a 'model' section")
-        _require("sim" in doc, "scenario needs a 'sim' section")
-        scn = cls(doc=doc)
-        sysb = scn.system()   # force validation of the heavy sections
-        scn.sim_config()
-        scn.l1_spec()
-        scn.tube_params()
-        scn._section("init")
-        scn.sweep_spec()
-        scn.ccm_samples()
-        if "desired" in doc:
-            scn.desired_spec(sysb.model)
-        scn.obstacles()
-        return scn
+        """Read ``doc`` by the table and build its system."""
+        got = _read(doc, _SCENARIO, "", {})
+        system = got["model"]
+        if not isinstance(system, BuiltinSystem):     # an inline model
+            _require("metric" in got, "an inline model needs a 'metric'")
+            domain = got["metric"].domain
+            system = BuiltinSystem(
+                system, got["metric"], got.get("bounds", AssumptionBounds()),
+                SafeSet.ball(np.zeros(system.state_dim), np.inf)
+                if domain is None else domain)
+        return cls(doc=doc, name=got["name"], sim=got["sim"],
+                   eps=got["tube"]["eps"], rho_a=got["tube"]["rho_a"],
+                   l1=got["l1"], ccm_samples=got["sampling"]["ccm_samples"],
+                   x0=got["init"].get("x0"), desired=got.get("desired"),
+                   obstacles=got["obstacles"], sweep=got["sweep"],
+                   _system=system)
 
     def with_seed(self, seed: int) -> "Scenario":
         """This scenario with ``sim.seed`` replaced.  The copy shares this
         instance's built system: nothing but the seed changes."""
-        scn = Scenario(doc=dict(self.doc, sim=dict(self.doc["sim"],
-                                                   seed=int(seed))))
-        scn._system = self._system
-        scn.sim_config()
-        return scn
+        return replace(self, doc=dict(self.doc, sim=dict(self.doc["sim"],
+                                                         seed=int(seed))),
+                       sim=replace(self.sim, seed=int(seed)))
 
     @classmethod
     def load(cls, path: str) -> "Scenario":
@@ -171,246 +436,19 @@ class Scenario:
     def dump(self) -> str:
         return canonical_json(self.doc)
 
-    @property
-    def name(self) -> str:
-        return str(self.doc.get("name", "scenario"))
-
-    # -- model/metric ----------------------------------------------------------
-
     def system(self) -> BuiltinSystem:
-        """The plant, metric and bounds, built once per instance."""
-        if self._system is None:
-            self._system = self._build_system()
+        """The plant, metric and bounds, built when the document is read."""
         return self._system
-
-    def _build_system(self) -> BuiltinSystem:
-        model_doc = self.doc["model"]
-        _require(isinstance(model_doc, dict), "'model' must be an object")
-        if "builtin" in model_doc:
-            name = model_doc["builtin"]
-            _require(name in ("ex1", "ex2"),
-                     f"unknown builtin model {name!r}")
-            return builtin_example(name)
-        return self._inline_system(model_doc)
-
-    def _inline_system(self, model_doc: dict) -> BuiltinSystem:
-        for key in ("state_dim", "input_dim", "drift", "input_matrix"):
-            _require(key in model_doc, f"inline model needs '{key}'")
-        n = int(model_doc["state_dim"])
-        m = int(model_doc["input_dim"])
-        _require(n >= 1 and m >= 1, "dimensions must be at least 1")
-
-        drift_table = [[entry] for entry in model_doc["drift"]]
-        drift_poly = PolyMatrix.from_entry_table(n, drift_table)
-        _require(drift_poly.shape == (n, 1), "drift must have state_dim rows")
-        drift_partials = [drift_poly.partial(i) for i in range(n)]
-
-        def drift(x):
-            return drift_poly(x)[:, 0]
-
-        def jac(x):
-            return np.column_stack([dp(x)[:, 0] for dp in drift_partials])
-
-        bdoc = model_doc["input_matrix"]
-        if "constant" in bdoc:
-            b_const = np.asarray(bdoc["constant"], dtype=float)
-            _require(b_const.shape == (n, m),
-                     "input matrix shape must be (state_dim, input_dim)")
-            b_poly = PolyMatrix(n, (n, m), [((0,) * n, b_const)])
-            input_matrix = lambda x, b=b_const: b
-            d_input = lambda x: np.zeros((n, n, m))
-        else:
-            b_poly = PolyMatrix.from_entry_table(n, bdoc["entries"])
-            _require(b_poly.shape == (n, m), "input matrix entry table shape")
-            input_matrix = b_poly.__call__
-            d_input = lambda x: np.stack([bp(x) for bp in b_partials])
-        b_partials = [b_poly.partial(i) for i in range(n)]
-
-        # drift with its partials, and the input matrix with its partials,
-        # each as one stacked polynomial: a batch costs two evaluations
-        drift_stack = PolyMatrix.vstack([drift_poly] + drift_partials)
-        b_stack = PolyMatrix.vstack([b_poly] + b_partials)
-
-        def vectorized(xs):
-            k = xs.shape[0]
-            f = drift_stack.eval_batch(xs).reshape(k, n + 1, n)
-            b = b_stack.eval_batch(xs).reshape(k, n + 1, n, m)
-            return ModelBatch(f[:, 0], f[:, 1:].swapaxes(1, 2), b[:, 0],
-                              b[:, 1:])
-
-        unc = self._uncertainty_fn(model_doc.get("uncertainty"), m)
-        model = DynamicsModel(state_dim=n, input_dim=m, drift=drift,
-                              input_matrix=input_matrix, jac_drift=jac,
-                              d_input=d_input, uncertainty=unc,
-                              vectorized=vectorized)
-
-        metric_doc = self.doc.get("metric")
-        _require(metric_doc is not None, "inline model needs a 'metric'")
-        domain = (SafeSet.from_dict(metric_doc["domain"])
-                  if "domain" in metric_doc else None)
-        dual = PolyMatrix.from_entry_table(n, metric_doc["dual"])
-        _require(dual.shape == (n, n), "metric dual table must be square")
-        try:
-            field = MetricField.from_dual_polynomial(
-                dual, contraction_rate=_num(metric_doc, "rate", positive=True),
-                eig_floor=_num(metric_doc, "eig_floor", positive=True),
-                eig_ceil=_num(metric_doc, "eig_ceil", positive=True),
-                domain=domain)
-        except MetricDomainError as exc:
-            at = "" if exc.x is None else f" at x = {exc.x.tolist()}"
-            raise ScenarioError(f"metric dual is not positive definite{at} "
-                                f"inside metric.domain") from exc
-        except MetricValidationError as exc:
-            raise ScenarioError(f"metric: {exc}") from exc
-
-        try:
-            bounds = AssumptionBounds(**self.doc.get("bounds", {}))
-        except TypeError as exc:
-            raise ScenarioError(f"bad 'bounds' section: {exc}") from exc
-        safe = domain if domain is not None else SafeSet.ball(np.zeros(n),
-                                                              np.inf)
-        return BuiltinSystem(model, field, bounds, safe)
-
-    @staticmethod
-    def _uncertainty_fn(doc, m: int):
-        """Disturbance family: per-channel a*sin(freq*t) + c*|x| + b."""
-        if doc is None:
-            return None
-        amp = np.atleast_1d(np.asarray(doc.get("amp_sin", 0.0), dtype=float))
-        freq = float(doc.get("freq", 1.0))
-        gain = np.atleast_1d(np.asarray(doc.get("state_gain", 0.0),
-                                        dtype=float))
-        off = np.atleast_1d(np.asarray(doc.get("offset", 0.0), dtype=float))
-        amp, gain, off = (np.broadcast_to(v, (m,)).astype(float)
-                          for v in (amp, gain, off))
-
-        def h(t, x):
-            return amp * math.sin(freq * t) + gain * np.linalg.norm(x) + off
-
-        return h
-
-    # -- sections ----------------------------------------------------------------
-
-    def _section(self, name: str) -> dict:
-        """The section ``name`` ({} when absent): an object whose keys are
-        all among the ones it takes."""
-        sdoc = self.doc.get(name, {})
-        _require(isinstance(sdoc, dict), f"'{name}' must be an object")
-        unknown = set(sdoc) - _SECTION_KEYS[name]
-        _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
-        return sdoc
-
-    def sim_config(self) -> SimConfig:
-        """The ``sim`` section; a key it leaves out takes
-        :class:`~ccml1.sim.SimConfig`'s default."""
-        sdoc = self._section("sim")
-        dt = _num(sdoc, "dt", positive=True)
-        t_final = _num(sdoc, "t_final", positive=True)
-        return SimConfig(dt=dt, t_final=t_final, **{
-            key: read(sdoc[key], f"sim.{key}")
-            for key, read in _SIM_OPTIONAL.items() if key in sdoc})
-
-    def tube_params(self) -> tuple[float, float]:
-        tdoc = self._section("tube")
-        return (_num(tdoc, "eps", default=0.1, positive=True),
-                _num(tdoc, "rho_a", default=0.1, positive=True))
-
-    def l1_spec(self) -> dict:
-        """Raw tuning: omega/gamma may be the string 'auto'."""
-        ldoc = self._section("l1")
-        out = {
-            "omega": ldoc.get("omega", "auto"),
-            "gamma": ldoc.get("gamma", "auto"),
-            "eps_proj": _positive(ldoc.get("eps_proj", 0.1), "l1.eps_proj"),
-            "pred_diag": _negative(ldoc.get("pred_diag", -10.0),
-                                   "l1.pred_diag"),
-            "q_diag": _positive(ldoc.get("q_diag", 1.0), "l1.q_diag"),
-        }
-        for key in ("omega", "gamma"):
-            val = out[key]
-            _require(val == "auto" or (_is_finite_number(val) and val > 0),
-                     f"l1.{key} must be positive or 'auto'")
-        return out
-
-    def ccm_samples(self) -> int:
-        """Sample count of check-ccm: ``sampling.ccm_samples``, default
-        10,000."""
-        val = self._section("sampling").get("ccm_samples", 10_000)
-        _require(isinstance(val, int) and not isinstance(val, bool)
-                 and val > 0, "sampling.ccm_samples must be a positive integer")
-        return val
 
     def make_l1_config(self, model: DynamicsModel, omega: float,
                        gamma: float, unc_bound: float) -> L1Config:
-        spec = self.l1_spec()
         n = model.state_dim
         return L1Config(
             state_dim=n, input_dim=model.input_dim, bandwidth=float(omega),
             adaptation_gain=float(gamma), unc_bound=float(unc_bound),
-            eps_proj=spec["eps_proj"],
-            pred_matrix=spec["pred_diag"] * np.eye(n),
-            lyap_q=spec["q_diag"] * np.eye(n))
-
-    def initial_state(self, default) -> np.ndarray:
-        idoc = self._section("init")
-        if "x0" in idoc:
-            x0 = idoc["x0"]
-            _require(isinstance(x0, list)
-                     and all(_is_finite_number(v) for v in x0),
-                     "init.x0 must be a list of finite numbers")
-            return np.array(x0, dtype=float)
-        return np.asarray(default, dtype=float)
-
-    def desired_spec(self, model: DynamicsModel | None = None) -> dict:
-        """The ``desired`` section, checked key by key for its kind; with a
-        model, its vectors are checked against the model's dimensions too."""
-        ddoc = self.doc.get("desired")
-        _require(ddoc is not None, "scenario needs a 'desired' section")
-        _require(isinstance(ddoc, dict), "'desired' must be an object")
-        kind = ddoc.get("kind")
-        _require(kind in _DESIRED_KEYS,
-                 "desired.kind must be 'constant' or 'plan'")
-        keys = _DESIRED_KEYS[kind]
-        unknown = set(ddoc) - keys
-        _require(not unknown,
-                 f"unknown desired keys for kind {kind!r}: {sorted(unknown)}")
-        missing = keys - set(ddoc)
-        _require(not missing,
-                 f"desired kind {kind!r} needs keys {sorted(missing)}")
-        if kind == "plan":
-            for key in ("t_final", "dt"):
-                _require(_is_finite_number(ddoc[key]) and ddoc[key] > 0,
-                         f"desired.{key} must be a positive finite number")
-        if model is not None:
-            for key in sorted(keys & _DESIRED_VECTORS.keys()):
-                dim = _DESIRED_VECTORS[key]
-                _vector(ddoc[key], getattr(model, dim),
-                        f"desired.{key} ({dim})")
-        return ddoc
-
-    def obstacles(self) -> list[np.ndarray]:
-        obs = self.doc.get("obstacles", [])
-        _require(isinstance(obs, list), "'obstacles' must be a list")
-        out = []
-        for item in obs:
-            _require(isinstance(item, dict) and set(item) == _OBSTACLE_KEYS,
-                     "each obstacle must be an object with only a "
-                     "'polygon' key")
-            verts = item["polygon"]
-            _require(isinstance(verts, list) and len(verts) >= 3,
-                     "obstacle polygon needs at least three vertices")
-            out.append(np.array([_vector(v, 2, "obstacle polygon vertex")
-                                 for v in verts]))
-        return out
-
-    def sweep_spec(self) -> dict:
-        out = {}
-        for key, vals in self._section("sweep").items():
-            _require(isinstance(vals, list) and vals
-                     and all(_is_finite_number(v) for v in vals),
-                     f"sweep.{key} must be a nonempty list of finite numbers")
-            out[key] = [float(v) for v in vals]
-        return out
+            eps_proj=self.l1["eps_proj"],
+            pred_matrix=self.l1["pred_diag"] * np.eye(n),
+            lyap_q=self.l1["q_diag"] * np.eye(n))
 
 
 # --- obstacle geometry ---------------------------------------------------------

@@ -49,7 +49,7 @@ def desired_input(traj, t: float) -> np.ndarray:
 
 def to_entry_table(poly) -> list:
     """A PolyMatrix as per-entry monomial lists (the scenario-file form
-    ``PolyMatrix.from_entry_table`` reads)."""
+    ``scenario._poly_table`` reads)."""
     rows = []
     for i in range(poly.shape[0]):
         row = []
@@ -61,7 +61,8 @@ def to_entry_table(poly) -> list:
 
 
 def safe_set_doc(safe_set) -> dict:
-    """A SafeSet in the scenario form ``SafeSet.from_dict`` reads."""
+    """A SafeSet in the scenario form (``metric.domain``) that
+    ``scenario._domain`` reads."""
     doc = {"kind": safe_set.kind,
            "center": [float(c) for c in safe_set.center]}
     if safe_set.kind == "box":

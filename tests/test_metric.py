@@ -10,7 +10,8 @@ from ccml1.errors import MetricDomainError, MetricValidationError
 from ccml1.metric import (_CHUNK, CcmCheckReport, MetricField, PolyMatrix,
                           _inv_batch, ccm_check, sym)
 from ccml1.models import DynamicsModel, SafeSet, builtin_example
-from ccml1.scenario import SCHEMA_VERSION, Scenario, canonical_json
+from ccml1.scenario import (SCHEMA_VERSION, Scenario, _poly_table,
+                            canonical_json)
 from reference import full_partials, metric_at, to_entry_table
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
@@ -65,7 +66,7 @@ class TestPolyMatrix:
             ((1, 0), np.array([[0.1, 0.0], [0.0, 0.0]])),
         ])
         table = to_entry_table(pm)
-        back = PolyMatrix.from_entry_table(2, table)
+        back = _poly_table(table, "dual", (2, 2), {"state_dim": 2})
         x = np.array([0.3, -1.2])
         np.testing.assert_allclose(back(x), pm(x), atol=1e-14)
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ccml1.errors import DimensionMismatch
 from ccml1.models import (AssumptionBounds, DesiredTrajectory, DynamicsModel,
                           SafeSet, builtin_example, matvec, row_dot)
+from ccml1.scenario import _domain
 from ccml1.sim import rk4_step
 from reference import desired_input, desired_state, safe_set_doc
 
@@ -141,7 +142,8 @@ class TestSafeSet:
     def test_dict_round_trip(self):
         for s in (SafeSet.box([0.0, 1.0], [2.0, 3.0]),
                   SafeSet.ball([1.0], 0.5)):
-            back = SafeSet.from_dict(safe_set_doc(s))
+            back = _domain(safe_set_doc(s), "domain",
+                           {"state_dim": s.dim})
             assert back.kind == s.kind
             np.testing.assert_array_equal(back.center, s.center)
 

@@ -1,15 +1,18 @@
 """Scenario parsing, canonical serialization, and obstacle geometry."""
 
+import copy
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccml1.errors import ScenarioError
 from ccml1.scenario import (SCHEMA_VERSION, Scenario, _signed_distances,
-                            builtin_scenario, canonical_json,
+                            _uncertainty, builtin_scenario, canonical_json,
                             tube_obstacle_clearance)
 from ccml1.sim import SimConfig
 from reference import metric_at
@@ -116,9 +119,9 @@ class TestStrictParsing:
             Scenario.from_dict(doc)
 
     def test_sampling_section(self):
-        assert Scenario.from_dict(_linear_doc()).ccm_samples() == 10_000
+        assert Scenario.from_dict(_linear_doc()).ccm_samples == 10_000
         scn = Scenario.from_dict(_linear_doc(sampling={"ccm_samples": 500}))
-        assert scn.ccm_samples() == 500
+        assert scn.ccm_samples == 500
 
     @pytest.mark.parametrize("sampling,match", [
         ({"ccm_samples": "abc"}, "positive integer"),
@@ -204,27 +207,25 @@ class TestInlineSystem:
 
 class TestUncertaintyFamily:
     def test_full_expression(self):
-        fn = Scenario._uncertainty_fn(
-            {"amp_sin": 0.3, "freq": 2.0, "state_gain": 0.1,
-             "offset": -0.05}, 1)
+        fn = _uncertainty({"amp_sin": 0.3, "freq": 2.0, "state_gain": 0.1,
+                           "offset": -0.05}, "u", {"input_dim": 1})
         t, x = 0.7, np.array([3.0, 4.0])
         expected = 0.3 * math.sin(1.4) + 0.1 * 5.0 - 0.05
         np.testing.assert_allclose(fn(t, x), [expected])
 
     def test_scalar_broadcasts_over_channels(self):
-        fn = Scenario._uncertainty_fn({"amp_sin": 1.0}, 3)
+        fn = _uncertainty({"amp_sin": 1.0}, "u", {"input_dim": 3})
         val = fn(math.pi / 2.0, np.zeros(2))
         np.testing.assert_allclose(val, np.ones(3))
 
     def test_absent_means_no_uncertainty(self):
-        assert Scenario._uncertainty_fn(None, 1) is None
         sysb = Scenario.from_dict(_linear_doc()).system()
         assert sysb.model.uncertainty is None
 
 
 class TestSections:
     def test_sim_defaults_and_overrides(self):
-        cfg = Scenario.from_dict(_linear_doc()).sim_config()
+        cfg = Scenario.from_dict(_linear_doc()).sim
         assert (cfg.dt, cfg.t_final, cfg.seed) == (0.01, 1.0, 0)
         assert cfg.geodesic_intervals == 8
         assert cfg.enforce_domain is True
@@ -233,14 +234,14 @@ class TestSections:
         doc = _linear_doc(sim={"dt": 0.5, "t_final": 2.0, "seed": 11,
                                "enforce_domain": False,
                                "divergence_limit": 4.0})
-        cfg = Scenario.from_dict(doc).sim_config()
+        cfg = Scenario.from_dict(doc).sim
         assert (cfg.seed, cfg.enforce_domain, cfg.divergence_limit) == \
             (11, False, 4.0)
         # given keys are converted to the field's type
         doc = _linear_doc(sim={"dt": 0.5, "t_final": 2, "seed": 3.0,
                                "geodesic_intervals": 6.0, "geodesic_tol": 1,
                                "enforce_domain": 0, "divergence_limit": 5})
-        cfg = Scenario.from_dict(doc).sim_config()
+        cfg = Scenario.from_dict(doc).sim
         assert [(getattr(cfg, key), type(getattr(cfg, key))) for key in (
             "seed", "geodesic_intervals", "geodesic_tol", "enforce_domain",
             "divergence_limit")] == [(3, int), (6, int), (1.0, float),
@@ -258,9 +259,8 @@ class TestSections:
             sweep={"omega": [10, 20], "gamma": [1e5], "eps": [0.1],
                    "rho_a": [0.1]})
         scn = Scenario.from_dict(doc)
-        assert scn.sweep_spec()["eps"] == [0.1]
-        np.testing.assert_array_equal(scn.initial_state([0.0, 0.0]),
-                                      [0.5, -0.5])
+        assert scn.sweep["eps"] == [0.1]
+        np.testing.assert_array_equal(scn.x0, [0.5, -0.5])
 
     @pytest.mark.parametrize("section,fields,match", [
         ("sim", {"seed": -1}, "sim.seed"),
@@ -290,20 +290,21 @@ class TestSections:
             Scenario.from_dict(_linear_doc(**{section: [1.0]}))
 
     def test_tube_defaults_and_validation(self):
-        assert Scenario.from_dict(_linear_doc()).tube_params() == (0.1, 0.1)
+        scn = Scenario.from_dict(_linear_doc())
+        assert (scn.eps, scn.rho_a) == (0.1, 0.1)
         scn = Scenario.from_dict(_linear_doc(tube={"eps": 0.3,
                                                    "rho_a": 0.05}))
-        assert scn.tube_params() == (0.3, 0.05)
-        with pytest.raises(ScenarioError):
-            Scenario.from_dict(_linear_doc(tube={"eps": -1.0})).tube_params()
+        assert (scn.eps, scn.rho_a) == (0.3, 0.05)
+        with pytest.raises(ScenarioError, match="tube.eps"):
+            Scenario.from_dict(_linear_doc(tube={"eps": -1.0}))
 
     def test_l1_spec_validation(self):
-        spec = Scenario.from_dict(_linear_doc()).l1_spec()
+        spec = Scenario.from_dict(_linear_doc()).l1
         assert spec["omega"] == "auto" and spec["gamma"] == "auto"
         assert spec["eps_proj"] == 0.1
         scn = Scenario.from_dict(_linear_doc(l1={"omega": 40.0,
                                                  "gamma": 1e5}))
-        assert scn.l1_spec()["omega"] == 40.0
+        assert scn.l1["omega"] == 40.0
         for bad in ({"omega": 0.0}, {"gamma": -5.0}, {"omega": "fast"}):
             with pytest.raises(ScenarioError):
                 Scenario.from_dict(_linear_doc(l1=bad))
@@ -320,35 +321,31 @@ class TestSections:
         np.testing.assert_allclose(cfg.pred_matrix, -4.0 * np.eye(2))
 
     def test_initial_state(self):
-        scn = Scenario.from_dict(_linear_doc())
-        np.testing.assert_allclose(scn.initial_state([1.0, 2.0]), [1.0, 2.0])
+        assert Scenario.from_dict(_linear_doc()).x0 is None
         scn = Scenario.from_dict(_linear_doc(init={"x0": [0.5, -0.5]}))
-        np.testing.assert_allclose(scn.initial_state([1.0, 2.0]),
-                                   [0.5, -0.5])
-        scn = Scenario.from_dict(_linear_doc(init={"x0": [[1.0, 2.0]]}))
-        with pytest.raises(ScenarioError):
-            scn.initial_state([0.0, 0.0])
+        np.testing.assert_allclose(scn.x0, [0.5, -0.5])
+        with pytest.raises(ScenarioError, match="init.x0"):
+            Scenario.from_dict(_linear_doc(init={"x0": [[1.0, 2.0]]}))
 
     def test_desired_spec_validation(self):
         doc = _linear_doc()
         del doc["desired"]
-        with pytest.raises(ScenarioError, match="desired"):
-            Scenario.from_dict(doc).desired_spec()
+        assert Scenario.from_dict(doc).desired is None
         doc = _linear_doc(desired={"kind": "teleport"})
         with pytest.raises(ScenarioError, match="kind"):
-            Scenario.from_dict(doc).desired_spec()
+            Scenario.from_dict(doc)
 
     def test_sweep_spec(self):
         doc = _linear_doc(sweep={"omega": [10, 20], "rho_a": [0.1]})
-        spec = Scenario.from_dict(doc).sweep_spec()
+        spec = Scenario.from_dict(doc).sweep
         assert spec == {"omega": [10.0, 20.0], "rho_a": [0.1]}
         with pytest.raises(ScenarioError, match="nonempty"):
-            Scenario.from_dict(_linear_doc(sweep={"gamma": []})).sweep_spec()
+            Scenario.from_dict(_linear_doc(sweep={"gamma": []}))
 
     def test_obstacle_polygon_validation(self):
         doc = _linear_doc(obstacles=[{"polygon": [[0, 0], [1, 0]]}])
         with pytest.raises(ScenarioError, match="three"):
-            Scenario.from_dict(doc).obstacles()
+            Scenario.from_dict(doc)
 
 
 class TestBuiltinScenarios:
@@ -356,18 +353,17 @@ class TestBuiltinScenarios:
         scn = builtin_scenario("ex1")
         sysb = scn.system()
         assert sysb.model.state_dim == 3 and sysb.model.input_dim == 1
-        assert scn.tube_params() == (0.01, 0.02)
-        assert scn.l1_spec()["omega"] == 50.0
-        assert scn.desired_spec()["kind"] == "constant"
-        np.testing.assert_allclose(scn.initial_state(None),
-                                   [0.01, -0.01, 0.01])
+        assert (scn.eps, scn.rho_a) == (0.01, 0.02)
+        assert scn.l1["omega"] == 50.0
+        assert scn.desired["kind"] == "constant"
+        np.testing.assert_allclose(scn.x0, [0.01, -0.01, 0.01])
 
     def test_ex2_contents(self):
         scn = builtin_scenario("ex2")
         assert scn.system().model.state_dim == 2
-        assert scn.tube_params() == (0.4, 0.1)
-        assert scn.desired_spec()["kind"] == "plan"
-        obs = scn.obstacles()
+        assert (scn.eps, scn.rho_a) == (0.4, 0.1)
+        assert scn.desired["kind"] == "plan"
+        obs = scn.obstacles
         assert len(obs) == 1 and obs[0].shape == (4, 2)
 
     def test_unknown_name(self):
@@ -413,27 +409,30 @@ class TestSystemBuiltOnce:
         scn = builtin_scenario("ex2")
         reseeded = scn.with_seed(3)
         assert reseeded.system() is scn.system()
-        assert reseeded.sim_config().seed == 3
-        assert scn.sim_config().seed == 0
+        assert reseeded.sim.seed == reseeded.doc["sim"]["seed"] == 3
+        assert scn.sim.seed == scn.doc["sim"]["seed"] == 0
 
     def test_inline_system_built_once_per_instance(self, monkeypatch):
+        import ccml1.scenario as scenario_module
         calls = []
-        real = Scenario._inline_system
+        real = scenario_module.MetricField.from_dual_polynomial
 
-        def counted(self, model_doc):
-            calls.append(id(self))
-            return real(self, model_doc)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(Scenario, "_inline_system", counted)
+        monkeypatch.setattr(scenario_module.MetricField,
+                            "from_dual_polynomial", counted)
         scn = Scenario.from_dict(_linear_doc())
         for _ in range(3):
             assert scn.system() is scn.system()
-        assert calls == [id(scn)]
+        assert calls == [1]
 
     def test_cache_is_not_part_of_the_value(self):
-        a, b = Scenario.from_dict(_linear_doc()), Scenario(doc=_linear_doc())
-        assert a == b
-        assert "_system" not in repr(a)
+        a, b = (Scenario.from_dict(_linear_doc(init={"x0": [1.0, 2.0]}))
+                for _ in range(2))
+        assert a == b and a.system() is not b.system()
+        assert repr(a) == f"Scenario(doc={a.doc!r})"
 
 
 class TestObstacleGeometry:
@@ -473,7 +472,7 @@ class TestObstacleGeometry:
         scn = builtin_scenario("ex2")
         rho = 0.5   # reference radius 0.4 plus adaptation floor 0.1
         worst = tube_obstacle_clearance(ex2_plan.states, rho,
-                                        scn.obstacles())
+                                        scn.obstacles)
         assert 0.05 < worst < 0.09
 
 
@@ -556,7 +555,7 @@ class TestArrayClearance:
 
     def test_shipped_plan_clearance_equals_the_per_point_loop(
             self, ex2_plan_fine):
-        obstacles = builtin_scenario("ex2").obstacles()
+        obstacles = builtin_scenario("ex2").obstacles
         assert tube_obstacle_clearance(ex2_plan_fine.states, 0.5, obstacles) \
             == _reference_clearance(ex2_plan_fine.states, 0.5, obstacles)
 
@@ -572,8 +571,8 @@ class TestStrictPlannerInputs:
         scn = Scenario.from_dict(_linear_doc(
             desired=dict(self.PLAN),
             obstacles=[{"polygon": [[0, 0], [1, 0], [1, 1]]}]))
-        assert scn.desired_spec()["kind"] == "plan"
-        np.testing.assert_array_equal(scn.obstacles()[0][2], [1.0, 1.0])
+        assert scn.desired["kind"] == "plan"
+        np.testing.assert_array_equal(scn.obstacles[0][2], [1.0, 1.0])
 
     @pytest.mark.parametrize("desired,match", [
         ({"kind": "constant", "state": [0.0, 0.0]}, "needs keys"),
@@ -618,12 +617,17 @@ class TestStrictPlannerInputs:
         with pytest.raises(ScenarioError, match=match):
             Scenario.from_dict(_linear_doc(obstacles=obstacles))
 
-    def test_desired_is_optional_until_used(self):
+    def test_desired_is_optional_until_used(self, tmp_path, capsys):
+        from ccml1.cli import main
         doc = _linear_doc()
         del doc["desired"]
-        scn = Scenario.from_dict(doc)
-        with pytest.raises(ScenarioError, match="desired"):
-            scn.desired_spec()
+        assert Scenario.from_dict(doc).desired is None
+        path = tmp_path / "scn.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        assert main(["certify", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "scenario error: scenario needs a 'desired' section\n")
 
 
 class TestMetricDefiniteness:
@@ -654,3 +658,157 @@ class TestMetricDefiniteness:
         doc = self._doc([{"powers": [0], "coeff": 2.0}], eig=(0.9, 1.1))
         with pytest.raises(ScenarioError, match="envelope"):
             Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("domain", [True, False])
+    def test_singular_constant_dual_is_a_scenario_error(self, domain):
+        doc = self._doc([{"powers": [0], "coeff": 0.0}])
+        if not domain:
+            del doc["metric"]["domain"]
+        # a constant dual fails at every state, so none is named
+        with pytest.raises(ScenarioError,
+                           match=r"^metric dual is not positive definite$"):
+            Scenario.from_dict(doc)
+
+    def test_non_finite_metric_is_a_scenario_error(self):
+        # the inverse of a subnormal dual overflows; its eigenvalues are
+        # NaN, which no envelope comparison rejects
+        doc = _linear_doc()
+        tiny = [{"powers": [0, 0], "coeff": 1e-310}]
+        doc["metric"]["dual"] = [[tiny, []], [[], tiny]]
+        with pytest.raises(ScenarioError, match="not finite"):
+            Scenario.from_dict(doc)
+
+
+# --- one reader, strict at every level ------------------------------------------
+
+
+def _base(name):
+    """The spring document, or a copy of a builtin one."""
+    return (_linear_doc() if name == "spring"
+            else copy.deepcopy(builtin_scenario(name).doc))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_DELETE = object()
+
+
+def _case(base, path, value):
+    """The document ``base`` with ``value`` at ``path`` (removed for
+    ``_DELETE``)."""
+    doc = _base(base)
+    if value is _DELETE:
+        del _get(doc, path[:-1])[path[-1]]
+    else:
+        _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+# (base, path, value, the key the message names); each of these ended in a
+# traceback or was accepted without a word before the one reader
+MALFORMED = [
+    ("spring", ("model", "state_dim"), "x", "model.state_dim"),
+    ("spring", ("model", "uncertainty"), {"amp_sin": "x"},
+     "model.uncertainty.amp_sin"),
+    ("spring", ("model", "uncertainty"), {"freq": [1, 2]},
+     "model.uncertainty.freq"),
+    ("spring", ("metric", "domain", "center"), _DELETE, "center"),
+    ("spring", ("metric", "domain", "half_widths"), "x",
+     "metric.domain.half_widths"),
+    ("spring", ("metric", "dual"), "x", "metric.dual"),
+    ("spring", ("model", "drift", 0), [{"powers": [0, 1, 0], "coeff": 1.0}],
+     "model.drift[0].powers"),
+    ("spring", ("model", "input_matrix"), {"constant": "x"},
+     "model.input_matrix.constant"),
+    ("spring", ("model", "input_matrix"), {}, "model.input_matrix"),
+    ("spring", ("tube",), {"eps": True}, "tube.eps"),
+    ("spring", ("sim", "dt"), True, "sim.dt"),
+    ("spring", ("metric", "rate"), True, "metric.rate"),
+    ("spring", ("bounds",), {"unc_sup": True}, "bounds.unc_sup"),
+    ("spring", ("model", "state_dim"), 2.5, "model.state_dim"),
+    ("spring", ("model", "stat_dim"), 2, "stat_dim"),
+    ("spring", ("model", "uncertainty"), {"amp_snn": 0.1}, "amp_snn"),
+    ("spring", ("metric", "eig_flor"), 0.9, "eig_flor"),
+    ("spring", ("name",), ["a"], "name"),
+    ("spring", ("init",), {"x0": [0.0, 0.0, 0.0]}, "init.x0"),
+    ("ex2", ("bounds",), {"unc_sup": 100.0}, "bounds"),
+    ("ex2", ("metric",), {"rate": 1.0}, "metric"),
+    ("ex2", ("model", "state_dim"), 2, "state_dim"),
+]
+_IDS = [f"{i}-{base}-{key}" for i, (base, _, _, key) in enumerate(MALFORMED)]
+
+
+@pytest.mark.parametrize("base,path,value,key", MALFORMED, ids=_IDS)
+def test_malformed_document_names_the_key(base, path, value, key):
+    with pytest.raises(ScenarioError, match=re.escape(key)):
+        Scenario.from_dict(_case(base, path, value))
+
+
+@pytest.mark.parametrize("base,path,value,key", MALFORMED, ids=_IDS)
+def test_malformed_document_exits_1_with_one_line(base, path, value, key,
+                                                  tmp_path, capsys):
+    from ccml1.cli import main
+    scn = tmp_path / "scn.json"
+    scn.write_text(canonical_json(_case(base, path, value)), encoding="utf-8")
+    assert main(["certify", "--scenario", str(scn),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and key in err
+    assert err.count("\n") == 1
+
+
+_HUGE = st.sampled_from([1e308, -1e308, 10 ** 400, -(2 ** 70), 2 ** 64])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _HUGE
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=8)
+
+
+def _paths(node, at=()):
+    """Every path into a document, the root's ``()`` first."""
+    yield at
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, at + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_mutation_parses_or_is_a_scenario_error(data):
+    """ex1, ex2 or the spring with one leaf or subtree replaced by any
+    JSON-like value, one key added or one key deleted: the document parses,
+    and dumps and re-parses to the same bytes, or it is a ScenarioError."""
+    doc = _base(data.draw(st.sampled_from(["ex1", "ex2", "spring"])))
+    paths = list(_paths(doc))
+    objects = [p for p in paths if isinstance(_get(doc, p), dict)]
+    keyed = [p for p in paths if p and isinstance(_get(doc, p[:-1]), dict)]
+    how = data.draw(st.sampled_from(["replace", "add", "delete"]))
+    if how == "replace":
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(_JSON)
+        if not path:
+            doc = value
+        else:
+            _get(doc, path[:-1])[path[-1]] = value
+    elif how == "add":
+        path = data.draw(st.sampled_from(objects))
+        target = _get(doc, path)
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in target))
+        target[key] = data.draw(_JSON)
+    else:
+        path = data.draw(st.sampled_from(keyed))
+        del _get(doc, path[:-1])[path[-1]]
+    try:
+        scn = Scenario.from_dict(doc)
+    except ScenarioError:
+        return
+    text = scn.dump()
+    assert Scenario.from_text(text).dump() == text
